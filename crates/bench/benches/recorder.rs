@@ -25,7 +25,7 @@ const EVENTS: u64 = 100_000;
 const NPROCS: usize = 32;
 
 /// The driver-side recording site: one branch when off, build + append
-/// when on. Mirrors `SimDriver::record` / `Coordinator::record`.
+/// when on. Mirrors `SimDriver::record` in `mf_core::parsim`.
 #[inline]
 fn record(rec: &mut Option<Recording>, at: Time, build: impl FnOnce() -> CompactEvent) {
     if let Some(r) = rec.as_mut() {

@@ -1,10 +1,10 @@
-//! Backend equivalence check: the discrete-event simulator and the
-//! threaded executor must produce *identical* results for every paper
-//! matrix under the quiet model — same per-processor active peaks, same
-//! makespan, same message count, same merged metrics. The two backends
-//! share the per-processor `SchedulerCore` state machines; this binary
-//! pins the claim that everything *around* the cores (transport, clock,
-//! memory accounting) is equivalent too.
+//! Backend equivalence check: the in-process simulator and the threaded
+//! executor must produce *identical* results for every paper matrix under
+//! the quiet model — the whole `RunResult`, field for field (peaks,
+//! makespan, traffic, metrics, events delivered, factor digest, final
+//! residuals). The two backends share the per-processor `SchedulerCore`
+//! state machines and the orchestrator around them; this binary pins the
+//! claim that hosting the cores on threads changes nothing.
 //!
 //! Usage:
 //!
@@ -18,9 +18,9 @@
 
 use mf_bench::sweep::{build_tree, paper_scale_config};
 use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
-use mf_core::CoreAlloc;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
+use mf_core::CoreAlloc;
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 
@@ -81,12 +81,13 @@ fn main() {
                 .unwrap_or_else(|e| panic!("{}/{name}: simulator failed: {e}", m.name()));
             let thr = mf_exec::run_threads(&tree, &map, &cfg)
                 .unwrap_or_else(|e| panic!("{}/{name}: threaded backend failed: {e}", m.name()));
-            assert_eq!(sim.peaks, thr.peaks, "{}/{name}: active peaks differ", m.name());
-            assert_eq!(sim.total_peaks, thr.total_peaks, "{}/{name}: total peaks", m.name());
-            assert_eq!(sim.makespan, thr.makespan, "{}/{name}: makespan differs", m.name());
-            assert_eq!(sim.messages, thr.messages, "{}/{name}: message count", m.name());
-            assert_eq!(sim.nodes_done, thr.nodes_done, "{}/{name}: fronts done", m.name());
-            assert_eq!(sim.metrics, thr.metrics, "{}/{name}: metrics differ", m.name());
+            assert!(
+                sim == thr,
+                "{}/{name}: backends differ\n  sim: {}\n  thr: {}",
+                m.name(),
+                sim.summary_line(),
+                thr.summary_line()
+            );
             println!(
                 "{:12} {:8} nprocs {:3}: backends agree — {}",
                 m.name(),

@@ -1,35 +1,42 @@
-//! The discrete-event backend: [`crate::proto::SchedulerCore`]s driven by
-//! the virtual-time simulator.
+//! The orchestrator: [`crate::proto::SchedulerCore`]s driven by one
+//! virtual-time event loop, whatever hosts them.
 //!
 //! Every processor runs the MUMPS-style loop inside its sans-io core;
-//! this module is only the *runtime*: it owns the event queue, the
+//! this module is everything *between* the cores: the event queue, the
 //! network model, the duration model (flop rate, seeded jitter,
-//! stragglers), the fault injector, the flight recorder, and the
-//! traffic-side metrics. [`run`] feeds simulator events into the cores
-//! and performs the effects they emit — in emission order, which is what
-//! keeps this refactored backend bit-identical to the historical
-//! monolithic scheduler. The `mf-exec` crate drives the *same* cores on
-//! real OS threads.
+//! stragglers), the fault injector, membership (kills, joins, recovery
+//! plans, rebalancing), termination, the flight recorder, and the
+//! traffic-side metrics. [`run_on`] feeds queue events into the cores and
+//! performs the effects they emit — in emission order, which is what
+//! keeps this backend bit-identical to the historical monolithic
+//! scheduler.
+//!
+//! Where the cores live is a [`CoreHost`]. [`run`] keeps them in process
+//! (a `Vec<SchedulerCore>`); the `mf-exec` crate hosts each one on its
+//! own OS thread and drives it through the same [`run_on`], so both
+//! backends share every orchestration rule by construction.
 
 use crate::config::SolverConfig;
-use crate::error::{RunDiagnostics, SimError};
+use crate::error::{ProcDiag, RunDiagnostics, SimError};
 use crate::malleable::{compute_ticks, SpeedupCurve};
+use crate::mapping::StaticMapping;
 use crate::proto::{
     initial_loads, Effect, Input, Migration, Msg, SchedulerCore, Violation, TIMER_SAMPLE,
 };
 use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
-    CompactEvent, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
-    ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim, Time, Trace,
-    DEFAULT_SERIES_CAPACITY,
+    CompactEvent, CoreMetrics, Event, EventPayload, EventQueue, FaultInjector, MsgClass,
+    NetworkModel, ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim,
+    Time, Trace, DEFAULT_SERIES_CAPACITY,
 };
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 
 /// Outcome of a simulated parallel factorization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Per-processor peak of the active memory (stack + fronts), the
     /// quantity behind every table of the paper.
@@ -43,8 +50,8 @@ pub struct RunResult {
     /// Messages exchanged.
     pub messages: u64,
     /// Events the engine delivered (messages + timers): the denominator
-    /// of the scale bench's ns/event figure. Backend-specific — the
-    /// threaded backend's timer usage differs from the simulator's.
+    /// of the scale bench's ns/event figure. Both backends run the same
+    /// event loop, so the count does not depend on the backend.
     pub events_delivered: u64,
     /// Per-processor active-memory traces when
     /// [`SolverConfig::record_traces`] was set.
@@ -114,17 +121,116 @@ impl RunResult {
     }
 }
 
-/// The simulator-side runtime: transport, time, noise, and observability.
-/// Everything *between* the cores lives here; everything *inside* a
-/// processor lives in its [`SchedulerCore`].
+/// Where the scheduler cores live — the one thing that differs between
+/// the in-process backend (`Vec<SchedulerCore>`) and the threaded one
+/// (`mf-exec`). [`run_on`] drives any host through these operations, in
+/// the same order whatever the host.
+pub trait CoreHost {
+    /// Feeds `input` to core `p` at virtual time `now`, passes every
+    /// effect it emits to `effect` in emission order, and returns the
+    /// fatal condition the core flagged, if any.
+    fn handle(
+        &mut self,
+        p: usize,
+        now: Time,
+        input: Input,
+        effect: impl FnMut(Effect),
+    ) -> Option<Violation>;
+
+    /// Fronts core `p` has completed so far.
+    fn nodes_done(&self, p: usize) -> usize;
+
+    /// Recovery snapshot of core `p` ([`SchedulerCore::snapshot`]).
+    fn snapshot(&mut self, p: usize) -> RecoverySnapshot;
+
+    /// Core `p`'s stall-breaker candidate
+    /// ([`SchedulerCore::cheapest_deferred`]).
+    fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)>;
+
+    /// Core `p`'s state at the end of the run. Called once per processor,
+    /// after its last input: the host may release the core.
+    fn finish(&mut self, p: usize) -> ProcFinal;
+}
+
+/// One processor's state at the end of a run, or at the error that ended
+/// it, as [`CoreHost::finish`] reports it.
+#[derive(Debug, Clone)]
+pub struct ProcFinal {
+    /// The core's exact memory accounting (peaks, residuals, trace).
+    pub memory: ProcMemory,
+    /// The core's decision-side metrics slice.
+    pub metrics: CoreMetrics,
+    /// Diagnostic snapshot for error reports.
+    pub diag: ProcDiag,
+    /// Virtual time until which the out-of-core disk is busy (0 in-core).
+    pub disk_busy_until: Time,
+    /// Fronts completed.
+    pub nodes_done: usize,
+    /// Capacity-degradation events.
+    pub forced: u64,
+    /// Per-node factor entries held here (the digest input).
+    pub factors_by_node: Vec<u64>,
+}
+
+impl ProcFinal {
+    /// Reads the final state off a core.
+    pub fn of(core: &SchedulerCore<'_>) -> Self {
+        ProcFinal {
+            memory: core.memory().clone(),
+            metrics: core.metrics().clone(),
+            diag: core.proc_diag(),
+            disk_busy_until: core.disk_busy_until(),
+            nodes_done: core.nodes_done(),
+            forced: core.forced(),
+            factors_by_node: core.factors_by_node().to_vec(),
+        }
+    }
+}
+
+/// The in-process host: every core lives in the caller's thread and is
+/// fed directly, its effects drained without a copy.
+impl CoreHost for Vec<SchedulerCore<'_>> {
+    fn handle(
+        &mut self,
+        p: usize,
+        now: Time,
+        input: Input,
+        effect: impl FnMut(Effect),
+    ) -> Option<Violation> {
+        let core = &mut self[p];
+        core.handle(now, input).for_each(effect);
+        core.take_violation()
+    }
+
+    fn nodes_done(&self, p: usize) -> usize {
+        self[p].nodes_done()
+    }
+
+    fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
+        self[p].snapshot()
+    }
+
+    fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
+        self[p].cheapest_deferred()
+    }
+
+    fn finish(&mut self, p: usize) -> ProcFinal {
+        ProcFinal::of(&self[p])
+    }
+}
+
+/// The runtime around the cores: transport, time, noise, and
+/// observability. Everything *inside* a processor lives in its
+/// [`SchedulerCore`], wherever the [`CoreHost`] keeps it.
 struct SimDriver<'a, Q> {
     cfg: &'a SolverConfig,
+    /// Fronts in the tree.
+    n: usize,
     sim: Q,
     net: NetworkModel,
     messages: u64,
     jitter: Option<(SmallRng, f64)>,
-    /// The speedup curve behind multi-core compute durations (shared
-    /// with mf-exec through [`compute_ticks`]).
+    /// The speedup curve behind multi-core compute durations.
     curve: SpeedupCurve,
     fault: Option<FaultInjector>,
     /// Traffic-side metrics (message counts/bytes, drops, busy time);
@@ -170,9 +276,10 @@ struct SimDriver<'a, Q> {
 }
 
 impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
-    fn new(cfg: &'a SolverConfig, sim: Q) -> Self {
+    fn new(cfg: &'a SolverConfig, sim: Q, n: usize) -> Self {
         SimDriver {
             cfg,
+            n,
             sim,
             net: cfg.network,
             messages: 0,
@@ -200,6 +307,11 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
     /// True once the fault model's network kill threshold was crossed.
     fn partitioned(&self) -> bool {
         self.fault.as_ref().is_some_and(|f| f.partitioned())
+    }
+
+    /// Messages the fault injector dropped so far.
+    fn dropped(&self) -> u64 {
+        self.fault.as_ref().map_or(0, |f| f.dropped())
     }
 
     /// Records an event when the recorder is enabled.
@@ -312,11 +424,17 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
         }
     }
 
-    /// Feeds one input into a core and performs the effects it drains, in
-    /// emission order — the contract that keeps the refactored backend
-    /// bit-identical to the historical monolithic scheduler.
-    fn step(&mut self, core: &mut SchedulerCore<'_>, now: Time, input: Input) {
-        let p = core.id();
+    /// Feeds one input into core `p` and performs the effects it emits,
+    /// in emission order — the contract that keeps the refactored
+    /// backend bit-identical to the historical monolithic scheduler. A
+    /// violation the core flags ends the run.
+    fn step<H: CoreHost>(
+        &mut self,
+        host: &mut H,
+        p: usize,
+        now: Time,
+        input: Input,
+    ) -> Result<(), SimError> {
         if self.rec.is_some() {
             // A fired timer is a compute completion: record ComputeEnd
             // before the core's effects (exactly where the completion
@@ -327,126 +445,163 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
                 }
             }
         }
-        for e in core.handle(now, input) {
-            match e {
-                Effect::Send { to, msg, bytes } => self.send(p, to, msg, bytes),
-                Effect::Broadcast { msg, bytes } => self.broadcast(p, msg, bytes),
-                Effect::StartCompute { key, node, role, flops, cores } => {
-                    if self.rec.is_some() {
-                        self.record(|| CompactEvent::compute_start(p, node, role));
-                        let info = &mut self.work_info[p];
-                        let k = key as usize;
-                        if info.len() <= k {
-                            info.resize(k + 1, (0, TaskRole::Elim));
-                        }
-                        info[k] = (node, role);
+        match host.handle(p, now, input, |e| self.perform(p, e)) {
+            None => Ok(()),
+            Some(v) => {
+                let diag = self.diagnostics(host);
+                Err(match v {
+                    Violation::Accounting { proc, area } => {
+                        SimError::Accounting { proc, area, diag }
                     }
-                    let duration = self.duration_of(p, flops, cores);
-                    self.metrics.procs[p].busy_ticks += duration;
-                    self.live_events += 1;
-                    self.sim.schedule_timer(p, duration, key);
-                }
-                Effect::Arm { key, after } => {
-                    // A partitioned network starves the detector too:
-                    // refusing to re-arm lets the run drain and fail with
-                    // a typed `Partitioned` instead of spinning forever.
-                    // Same once all fronts are done: the detector chain
-                    // dies out and the queue drains.
-                    if !self.partitioned() && !self.finishing {
-                        self.sim.schedule_timer(p, after, key);
+                    Violation::Protocol { detail } => SimError::Protocol { detail, diag },
+                })
+            }
+        }
+    }
+
+    /// Performs one effect core `p` emitted.
+    fn perform(&mut self, p: usize, e: Effect) {
+        match e {
+            Effect::Send { to, msg, bytes } => self.send(p, to, msg, bytes),
+            Effect::Broadcast { msg, bytes } => self.broadcast(p, msg, bytes),
+            Effect::StartCompute { key, node, role, flops, cores } => {
+                if self.rec.is_some() {
+                    self.record(|| CompactEvent::compute_start(p, node, role));
+                    let info = &mut self.work_info[p];
+                    let k = key as usize;
+                    if info.len() <= k {
+                        info.resize(k + 1, (0, TaskRole::Elim));
                     }
+                    info[k] = (node, role);
                 }
-                Effect::DeclareDead { proc } => self.pending_dead.push(proc),
-                Effect::Alloc { node, area, entries } => {
-                    self.record(|| CompactEvent::mem_alloc(p, node, area, entries));
+                let duration = self.duration_of(p, flops, cores);
+                self.metrics.procs[p].busy_ticks += duration;
+                self.live_events += 1;
+                self.sim.schedule_timer(p, duration, key);
+            }
+            Effect::Arm { key, after } => {
+                // A partitioned network starves the detector too:
+                // refusing to re-arm lets the run drain and fail with
+                // a typed `Partitioned` instead of spinning forever.
+                // Same once all fronts are done: the detector chain
+                // dies out and the queue drains.
+                if !self.partitioned() && !self.finishing {
+                    self.sim.schedule_timer(p, after, key);
                 }
-                Effect::Free { node, area, entries } => {
-                    self.record(|| CompactEvent::mem_free(p, node, area, entries));
+            }
+            Effect::DeclareDead { proc } => self.pending_dead.push(proc),
+            Effect::Alloc { node, area, entries } => {
+                self.record(|| CompactEvent::mem_alloc(p, node, area, entries));
+            }
+            Effect::Free { node, area, entries } => {
+                self.record(|| CompactEvent::mem_free(p, node, area, entries));
+            }
+            Effect::Record(ev) => {
+                let now = self.sim.now();
+                if let Some(rec) = self.rec.as_mut() {
+                    rec.record(now, ev);
                 }
-                Effect::Record(ev) => {
-                    let now = self.sim.now();
-                    if let Some(rec) = self.rec.as_mut() {
-                        rec.record(now, ev);
-                    }
-                }
-                Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
-                    // The driver stamps the snapshot with the virtual time
-                    // and its cumulative traffic counters — accounted
-                    // identically by both backends, so the series are
-                    // bit-identical across them.
-                    let at = self.sim.now();
-                    let (control_msgs, status_msgs) =
-                        (self.metrics.control_msgs, self.metrics.status_msgs);
-                    if let Some(ts) = self.ts.as_mut() {
-                        ts.push(
-                            p,
-                            SampleRow {
-                                at,
-                                active,
-                                stack,
-                                pool_depth,
-                                queued,
-                                busy,
-                                stalled,
-                                control_msgs,
-                                status_msgs,
-                            },
-                        );
-                    }
+            }
+            Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
+                // The driver stamps the snapshot with the virtual time
+                // and its cumulative traffic counters, so the series is
+                // the same whichever host runs the cores.
+                let at = self.sim.now();
+                let (control_msgs, status_msgs) =
+                    (self.metrics.control_msgs, self.metrics.status_msgs);
+                if let Some(ts) = self.ts.as_mut() {
+                    ts.push(
+                        p,
+                        SampleRow {
+                            at,
+                            active,
+                            stack,
+                            pool_depth,
+                            queued,
+                            busy,
+                            stalled,
+                            control_msgs,
+                            status_msgs,
+                        },
+                    );
                 }
             }
         }
     }
+
+    /// Full diagnostic snapshot for an error report. It collects every
+    /// core's final state, so the run ends with it.
+    fn diagnostics<H: CoreHost>(&self, host: &mut H) -> Box<RunDiagnostics> {
+        let finals: Vec<ProcFinal> = (0..self.cfg.nprocs).map(|p| host.finish(p)).collect();
+        let mut metrics = self.metrics.clone();
+        for (p, f) in finals.iter().enumerate() {
+            metrics.merge_core(p, &f.metrics);
+        }
+        Box::new(RunDiagnostics {
+            now: self.sim.now(),
+            delivered_events: self.sim.delivered(),
+            in_flight: self.sim.pending(),
+            nodes_done: finals.iter().map(|f| f.nodes_done).sum(),
+            total_nodes: self.n,
+            dropped_messages: self.dropped(),
+            dead: self.dead.clone(),
+            metrics: Box::new(metrics),
+            procs: finals.into_iter().map(|f| f.diag).collect(),
+        })
+    }
+
+    /// No-progress error for the current state: a crossed network-kill
+    /// threshold is a `Partitioned`, anything else a generic `Stalled`.
+    fn stall_error<H: CoreHost>(&self, host: &mut H) -> SimError {
+        let diag = self.diagnostics(host);
+        if self.partitioned() {
+            let after = self.cfg.fault.as_ref().and_then(|f| f.kill_network_after).unwrap_or(0);
+            SimError::Partitioned { after, diag }
+        } else {
+            SimError::Stalled { diag }
+        }
+    }
 }
 
-/// Last-resort degradation step under a hard capacity: when the event
-/// queue drains with unfinished fronts because every idle processor is
+/// Fronts completed over the surviving processors (a dead processor's
+/// completions were recomputed elsewhere and must not double-count).
+fn survivors_done<H: CoreHost>(host: &H, ms: Option<&Membership>, nprocs: usize) -> usize {
+    (0..nprocs).filter(|&p| ms.is_none_or(|m| m.alive[p])).map(|p| host.nodes_done(p)).sum()
+}
+
+/// Last-resort degradation step under a hard capacity: when the run is
+/// quiescent with unfinished fronts because every idle processor is
 /// deferring every ready task, force the globally cheapest deferred
 /// activation so the factorization completes (degrading memory, never
-/// correctness). Returns the forced processor, or `None` when there is
-/// nothing to force (a genuine stall).
-fn force_one_deferred<Q: EventQueue<Msg>>(
+/// correctness). With nothing to force it is a genuine stall (a dead
+/// processor nobody can detect, a dead network), reported as such.
+fn force_one_deferred<Q: EventQueue<Msg>, H: CoreHost>(
     drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
+    host: &mut H,
     ms: Option<&Membership>,
-) -> Option<usize> {
-    drv.cfg.capacity?;
-    let mut best: Option<(u64, usize, usize)> = None; // (cost, proc, node)
-    for core in cores.iter() {
-        if ms.is_some_and(|m| !m.alive[core.id()] || !m.joined[core.id()]) {
-            continue; // forcing work onto a dead processor helps nobody
+) -> Result<(), SimError> {
+    let best = drv.cfg.capacity.and_then(|_| {
+        (0..drv.cfg.nprocs)
+            // Forcing work onto a dead processor helps nobody.
+            .filter(|&p| ms.is_none_or(|m| m.alive[p] && m.joined[p]))
+            .filter_map(|p| host.cheapest_deferred(p).map(|(cost, v)| (cost, p, v)))
+            .min()
+    });
+    match best {
+        Some((_, p, node)) => {
+            let now = drv.sim.now();
+            drv.step(host, p, now, Input::Force { node })
         }
-        if let Some((cost, v)) = core.cheapest_deferred() {
-            let cand = (cost, core.id(), v);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-    }
-    let (_, p, v) = best?;
-    let now = drv.sim.now();
-    drv.step(&mut cores[p], now, Input::Force { node: v });
-    Some(p)
-}
-
-/// No-progress error for the current state: a crossed network-kill
-/// threshold is a `Partitioned`, anything else a generic `Stalled`.
-fn stall_error<Q: EventQueue<Msg>>(drv: &SimDriver<'_, Q>, diag: RunDiagnostics) -> SimError {
-    let diag = Box::new(diag);
-    if drv.partitioned() {
-        let after = drv.cfg.fault.as_ref().and_then(|f| f.kill_network_after).unwrap_or(0);
-        SimError::Partitioned { after, diag }
-    } else {
-        SimError::Stalled { diag }
+        None => Err(drv.stall_error(host)),
     }
 }
 
 /// Fail-stops processor `d`: snapshots the dying core (the last coherent
 /// view of what dies with it) and marks it dead. Detection and recovery
 /// happen later, through the lease protocol.
-fn kill_proc<Q: EventQueue<Msg>>(
+fn kill_proc<Q: EventQueue<Msg>, H: CoreHost>(
     drv: &mut SimDriver<'_, Q>,
-    cores: &[SchedulerCore<'_>],
+    host: &mut H,
     ms: &mut Membership,
     d: usize,
 ) {
@@ -454,7 +609,7 @@ fn kill_proc<Q: EventQueue<Msg>>(
         return;
     }
     let snap = if ms.joined[d] {
-        cores[d].snapshot()
+        host.snapshot(d)
     } else {
         RecoverySnapshot { proc: d, ..Default::default() }
     };
@@ -469,28 +624,25 @@ fn kill_proc<Q: EventQueue<Msg>>(
 /// machine gave up on cannot be half-alive), builds one recovery plan
 /// per actual loss, and feeds it to every reachable core in processor
 /// order.
-fn process_deaths<Q: EventQueue<Msg>>(
+fn process_deaths<Q: EventQueue<Msg>, H: CoreHost>(
     drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
+    host: &mut H,
     ms: &mut Membership,
     tree: &AssemblyTree,
-    n: usize,
 ) -> Result<(), SimError> {
     while !drv.pending_dead.is_empty() {
-        let pend = std::mem::take(&mut drv.pending_dead);
-        for d in pend {
+        for d in std::mem::take(&mut drv.pending_dead) {
             if ms.recovered_deaths[d] {
                 continue;
             }
-            kill_proc(drv, cores, ms, d);
+            kill_proc(drv, host, ms, d);
             if !ms.adopters_exist(d) {
-                let diag = diagnostics(drv, cores, n);
-                return Err(stall_error(drv, diag));
+                return Err(drv.stall_error(host));
             }
             let snaps: Vec<RecoverySnapshot> = (0..drv.cfg.nprocs)
                 .map(|p| {
                     if ms.alive[p] {
-                        cores[p].snapshot()
+                        host.snapshot(p)
                     } else {
                         ms.dead_snaps[p]
                             .clone()
@@ -509,10 +661,7 @@ fn process_deaths<Q: EventQueue<Msg>>(
             let now = drv.sim.now();
             for p in 0..drv.cfg.nprocs {
                 if ms.alive[p] && ms.joined[p] {
-                    drv.step(&mut cores[p], now, Input::Recover { plan: Box::new(plan.clone()) });
-                    if let Some(v) = cores[p].take_violation() {
-                        return Err(error_of(drv, cores, n, v));
-                    }
+                    drv.step(host, p, now, Input::Recover { plan: Box::new(plan.clone()) })?;
                 }
             }
         }
@@ -525,14 +674,12 @@ fn process_deaths<Q: EventQueue<Msg>>(
 /// match the survivors', delivers the traffic parked while it was
 /// dormant, and rebalances by migrating up to two ready upper tasks
 /// from the fullest surviving pool.
-#[allow(clippy::too_many_arguments)]
-fn join_proc<Q: EventQueue<Msg>>(
+fn join_proc<Q: EventQueue<Msg>, H: CoreHost>(
     drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
+    host: &mut H,
     ms: &mut Membership,
     tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
-    n: usize,
+    map: &StaticMapping,
     q: usize,
 ) -> Result<(), SimError> {
     if !ms.alive[q] || ms.joined[q] {
@@ -543,10 +690,7 @@ fn join_proc<Q: EventQueue<Msg>>(
     let now = drv.sim.now();
     for p in 0..drv.cfg.nprocs {
         if ms.alive[p] && ms.joined[p] {
-            drv.step(&mut cores[p], now, Input::Join { proc: q });
-            if let Some(v) = cores[p].take_violation() {
-                return Err(error_of(drv, cores, n, v));
-            }
+            drv.step(host, p, now, Input::Join { proc: q })?;
         }
     }
     for ch in ms.log.clone() {
@@ -554,21 +698,12 @@ fn join_proc<Q: EventQueue<Msg>>(
             MembershipChange::Recover(plan) => Input::Recover { plan: Box::new(plan) },
             MembershipChange::Migrate(m) => Input::Migrate { m: Box::new(m) },
         };
-        drv.step(&mut cores[q], now, input);
-        if let Some(v) = cores[q].take_violation() {
-            return Err(error_of(drv, cores, n, v));
-        }
+        drv.step(host, q, now, input)?;
     }
-    drv.step(&mut cores[q], now, Input::Tick);
-    if let Some(v) = cores[q].take_violation() {
-        return Err(error_of(drv, cores, n, v));
-    }
+    drv.step(host, q, now, Input::Tick)?;
     for (from, msg) in std::mem::take(&mut drv.buffered[q]) {
         if ms.alive[from] {
-            drv.step(&mut cores[q], now, Input::Deliver { from, msg });
-            if let Some(v) = cores[q].take_violation() {
-                return Err(error_of(drv, cores, n, v));
-            }
+            drv.step(host, q, now, Input::Deliver { from, msg })?;
         }
     }
     // Memory-aware rebalancing: the fullest surviving pool donates up to
@@ -577,20 +712,18 @@ fn join_proc<Q: EventQueue<Msg>>(
     // piece notification already arrived at the donor.
     let donor = (0..drv.cfg.nprocs)
         .filter(|&p| p != q && ms.alive[p] && ms.joined[p])
-        .map(|p| (cores[p].proc_diag().pool.len(), p))
-        .filter(|&(len, _)| len > 0)
-        .min_by_key(|&(len, p)| (std::cmp::Reverse(len), p))
-        .map(|(_, p)| p);
+        .map(|p| host.snapshot(p))
+        .filter(|s| !s.pool.is_empty())
+        .min_by_key(|s| (Reverse(s.pool.len()), s.proc));
     let mut migrated = 0usize;
-    if let Some(d) = donor {
-        let snap = cores[d].snapshot();
+    if let Some(snap) = donor {
         let mut cands: Vec<usize> = snap
             .pool
             .iter()
             .copied()
             .filter(|&v| map.subtree_of[v].is_none() || ms.recovered[v])
             .collect();
-        cands.sort_by_key(|&v| (std::cmp::Reverse(tree.flops(v)), v));
+        cands.sort_by_key(|&v| (Reverse(tree.flops(v)), v));
         for node in cands.into_iter().take(2) {
             let pieces: Vec<(usize, u64, usize)> = snap
                 .registered
@@ -598,15 +731,12 @@ fn join_proc<Q: EventQueue<Msg>>(
                 .filter(|&&(parent, ..)| parent == node)
                 .map(|&(_, h, e, c)| (h, e, c))
                 .collect();
-            let mg = Migration { node, from: d, to: q, flops: tree.flops(node), pieces };
+            let mg = Migration { node, from: snap.proc, to: q, flops: tree.flops(node), pieces };
             ms.note_migration(&mg);
             drv.metrics.recovery.rebalance_migrations += 1;
             for p in 0..drv.cfg.nprocs {
                 if ms.alive[p] && ms.joined[p] {
-                    drv.step(&mut cores[p], now, Input::Migrate { m: Box::new(mg.clone()) });
-                    if let Some(v) = cores[p].take_violation() {
-                        return Err(error_of(drv, cores, n, v));
-                    }
+                    drv.step(host, p, now, Input::Migrate { m: Box::new(mg.clone()) })?;
                 }
             }
             migrated += 1;
@@ -614,41 +744,6 @@ fn join_proc<Q: EventQueue<Msg>>(
     }
     drv.record(|| CompactEvent::proc_joined(q, migrated));
     Ok(())
-}
-
-fn diagnostics<Q: EventQueue<Msg>>(
-    drv: &SimDriver<'_, Q>,
-    cores: &[SchedulerCore<'_>],
-    total_nodes: usize,
-) -> RunDiagnostics {
-    let mut metrics = drv.metrics.clone();
-    for core in cores {
-        metrics.merge_core(core.id(), core.metrics());
-    }
-    RunDiagnostics {
-        now: drv.sim.now(),
-        delivered_events: drv.sim.delivered(),
-        in_flight: drv.sim.pending(),
-        nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
-        total_nodes,
-        dropped_messages: drv.fault.as_ref().map_or(0, |f| f.dropped()),
-        dead: drv.dead.clone(),
-        metrics: Box::new(metrics),
-        procs: cores.iter().map(|c| c.proc_diag()).collect(),
-    }
-}
-
-fn error_of<Q: EventQueue<Msg>>(
-    drv: &SimDriver<'_, Q>,
-    cores: &[SchedulerCore<'_>],
-    total_nodes: usize,
-    v: Violation,
-) -> SimError {
-    let diag = Box::new(diagnostics(drv, cores, total_nodes));
-    match v {
-        Violation::Accounting { proc, area } => SimError::Accounting { proc, area, diag },
-        Violation::Protocol { detail } => SimError::Protocol { detail, diag },
-    }
 }
 
 /// Runs the simulated parallel factorization.
@@ -659,10 +754,10 @@ fn error_of<Q: EventQueue<Msg>>(
 /// per-processor diagnostic snapshot.
 pub fn run(
     tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
+    map: &StaticMapping,
     cfg: &SolverConfig,
 ) -> Result<RunResult, SimError> {
-    run_on(tree, map, cfg, Sim::with_procs(cfg.nprocs))
+    run_on(tree, map, cfg, Sim::with_procs(cfg.nprocs), &mut in_process_cores(tree, map, cfg))
 }
 
 /// [`run`] on the historical single-global-heap engine
@@ -671,23 +766,34 @@ pub fn run(
 /// two; everything else should use [`run`].
 pub fn run_reference(
     tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
+    map: &StaticMapping,
     cfg: &SolverConfig,
 ) -> Result<RunResult, SimError> {
-    run_on(tree, map, cfg, SingleHeapSim::new())
+    run_on(tree, map, cfg, SingleHeapSim::new(), &mut in_process_cores(tree, map, cfg))
 }
 
-fn run_on<Q: EventQueue<Msg>>(
+/// One in-process core per processor.
+fn in_process_cores<'a>(
+    tree: &'a AssemblyTree,
+    map: &'a StaticMapping,
+    cfg: &'a SolverConfig,
+) -> Vec<SchedulerCore<'a>> {
+    let load0 = initial_loads(tree, map, cfg.nprocs);
+    (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect()
+}
+
+/// The orchestrator behind every backend: runs the factorization on
+/// event queue `sim` with the cores `host` keeps, one per processor of
+/// `cfg`. Same contract as [`run`].
+pub fn run_on<Q: EventQueue<Msg>, H: CoreHost>(
     tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
+    map: &StaticMapping,
     cfg: &SolverConfig,
     sim: Q,
+    host: &mut H,
 ) -> Result<RunResult, SimError> {
     let n = tree.len();
-    let load0 = initial_loads(tree, map, cfg.nprocs);
-    let mut cores: Vec<SchedulerCore<'_>> =
-        (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect();
-    let mut drv = SimDriver::new(cfg, sim);
+    let mut drv = SimDriver::new(cfg, sim, n);
     // Membership orchestration only on runs that need it — the quiet
     // path takes none of the branches below.
     let mut membership = Membership::needed(cfg.recovery.is_some(), cfg.fault.as_ref())
@@ -698,10 +804,7 @@ fn run_on<Q: EventQueue<Msg>>(
         if membership.as_ref().is_some_and(|m| !m.joined[p]) {
             continue; // dormant until its scheduled join
         }
-        drv.step(&mut cores[p], 0, Input::Tick);
-        if let Some(v) = cores[p].take_violation() {
-            return Err(error_of(&drv, &cores, n, v));
-        }
+        drv.step(host, p, 0, Input::Tick)?;
     }
     'run: loop {
         while let Some(Event { at, payload }) = drv.sim.pop() {
@@ -712,10 +815,10 @@ fn run_on<Q: EventQueue<Msg>>(
                 ms.delivered += 1;
                 let idx = ms.delivered;
                 while let Some(d) = ms.take_due_kill(idx) {
-                    kill_proc(&mut drv, &cores, ms, d);
+                    kill_proc(&mut drv, host, ms, d);
                 }
                 while let Some(q) = ms.take_due_join(idx) {
-                    join_proc(&mut drv, &mut cores, ms, tree, map, n, q)?;
+                    join_proc(&mut drv, host, ms, tree, map, q)?;
                 }
             }
             // Quiescence accounting: everything except failure-detector
@@ -749,32 +852,24 @@ fn run_on<Q: EventQueue<Msg>>(
                     (proc, Input::TimerFired { key })
                 }
             };
-            drv.step(&mut cores[p], at, input);
-            if let Some(v) = cores[p].take_violation() {
-                return Err(error_of(&drv, &cores, n, v));
-            }
+            drv.step(host, p, at, input)?;
             if let Some(ms) = membership.as_mut() {
                 if !drv.pending_dead.is_empty() {
-                    process_deaths(&mut drv, &mut cores, ms, tree, n)?;
+                    process_deaths(&mut drv, host, ms, tree)?;
                 }
             } else {
                 debug_assert!(drv.pending_dead.is_empty(), "DeclareDead without recovery");
             }
             if let Some(limit) = cfg.time_limit {
                 if drv.sim.now() > limit {
-                    let diag = Box::new(diagnostics(&drv, &cores, n));
-                    return Err(SimError::TimeLimit { limit, diag });
+                    return Err(SimError::TimeLimit { limit, diag: drv.diagnostics(host) });
                 }
             }
             if let Some(ms) = membership.as_mut() {
                 // Membership-aware termination: with recovery configured
                 // the detector's timer chain never lets the queue drain,
-                // so completion is checked per event — over the survivors
-                // only (a dead processor's completions were recomputed
-                // elsewhere and must not double-count).
-                let done: usize =
-                    (0..cfg.nprocs).filter(|&p| ms.alive[p]).map(|p| cores[p].nodes_done()).sum();
-                if done >= n {
+                // so completion is checked per event, over the survivors.
+                if survivors_done(host, Some(ms), cfg.nprocs) >= n {
                     // Keep draining in-flight live traffic so the final
                     // time matches the recovery-off run exactly; the
                     // detector stops re-arming and its chain dies out.
@@ -794,17 +889,7 @@ fn run_on<Q: EventQueue<Msg>>(
                     {
                         continue;
                     }
-                    match force_one_deferred(&mut drv, &mut cores, Some(&*ms)) {
-                        Some(p) => {
-                            if let Some(v) = cores[p].take_violation() {
-                                return Err(error_of(&drv, &cores, n, v));
-                            }
-                        }
-                        None => {
-                            let diag = diagnostics(&drv, &cores, n);
-                            return Err(stall_error(&drv, diag));
-                        }
-                    }
+                    force_one_deferred(&mut drv, host, Some(ms))?;
                 }
             } else if cfg.sample_every.is_some() {
                 // Sampler-aware termination: without membership the
@@ -814,8 +899,7 @@ fn run_on<Q: EventQueue<Msg>>(
                 // (`finishing`) and the run breaks the moment the last
                 // live event is processed — the clock never advances
                 // past the sampler-off makespan.
-                let done: usize = cores.iter().map(|c| c.nodes_done()).sum();
-                if done >= n {
+                if survivors_done(host, None, cfg.nprocs) >= n {
                     drv.finishing = true;
                     if drv.live_events == 0 {
                         break 'run;
@@ -826,83 +910,66 @@ fn run_on<Q: EventQueue<Msg>>(
         // The queue drained (the recovery-off path — with recovery on it
         // only happens once a partitioned driver stops re-arming the
         // detector).
-        let nodes_done: usize = match membership.as_ref() {
-            Some(ms) => {
-                (0..cfg.nprocs).filter(|&p| ms.alive[p]).map(|p| cores[p].nodes_done()).sum()
-            }
-            None => cores.iter().map(|c| c.nodes_done()).sum(),
-        };
-        if nodes_done >= n {
+        if survivors_done(host, membership.as_ref(), cfg.nprocs) >= n {
             break;
         }
         // A scheduled join whose event index was never reached fires now:
         // the joiner may hold the only way forward.
         if let Some(ms) = membership.as_mut() {
             if let Some(q) = ms.take_next_join() {
-                join_proc(&mut drv, &mut cores, ms, tree, map, n, q)?;
+                join_proc(&mut drv, host, ms, tree, map, q)?;
                 continue;
             }
         }
         // Drained queue with unfinished fronts. Under a hard capacity the
         // deadlock may be self-inflicted (every idle processor deferring
-        // every task): force the globally cheapest deferred task and keep
-        // going — degrading memory, never correctness. Otherwise it is a
-        // genuine stall (a dead processor nobody can detect, a dead
-        // network): report it.
-        let Some(p) = force_one_deferred(&mut drv, &mut cores, membership.as_ref()) else {
-            let diag = diagnostics(&drv, &cores, n);
-            return Err(stall_error(&drv, diag));
-        };
-        if let Some(v) = cores[p].take_violation() {
-            return Err(error_of(&drv, &cores, n, v));
-        }
+        // every task): force the cheapest deferred task and keep going.
+        force_one_deferred(&mut drv, host, membership.as_ref())?;
     }
 
-    let disk_end = cores.iter().map(|c| c.disk_busy_until()).max().unwrap_or(0);
-    let makespan = drv.sim.now().max(disk_end);
-    let mems: Vec<&ProcMemory> = cores.iter().map(|c| c.memory()).collect();
-    let peaks: Vec<u64> = mems.iter().map(|m| m.active_peak()).collect();
-    let total_peaks: Vec<u64> = mems.iter().map(|m| m.total_peak()).collect();
-    let factor_entries: Vec<u64> = mems.iter().map(|m| m.factors()).collect();
+    let finals: Vec<ProcFinal> = (0..cfg.nprocs).map(|p| host.finish(p)).collect();
+    let survivors: Vec<&ProcFinal> = finals
+        .iter()
+        .enumerate()
+        .filter(|&(p, _)| membership.as_ref().is_none_or(|m| m.alive[p]))
+        .map(|(_, f)| f)
+        .collect();
+    let disk_end = finals.iter().map(|f| f.disk_busy_until).max().unwrap_or(0);
+    let peaks: Vec<u64> = finals.iter().map(|f| f.memory.active_peak()).collect();
     let max_peak = peaks.iter().copied().max().unwrap_or(0);
     let avg_peak = peaks.iter().sum::<u64>() as f64 / peaks.len().max(1) as f64;
+    let dropped_messages = drv.dropped();
     let mut metrics = drv.metrics;
-    for core in &cores {
-        metrics.merge_core(core.id(), core.metrics());
+    for (p, f) in finals.iter().enumerate() {
+        metrics.merge_core(p, &f.metrics);
     }
     if let Some(rec) = &drv.rec {
         // Finalization invariant: every payload reference of the finished
         // recording is in-bounds and non-overlapping.
         rec.debug_validate();
     }
-    let alive = |p: usize| membership.as_ref().is_none_or(|m| m.alive[p]);
-    let factor_digest = digest_factors(
-        (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| cores[p].factors_by_node()),
-        n,
-    );
-    let nodes_done = (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| cores[p].nodes_done()).sum();
     Ok(RunResult {
-        total_peaks,
-        factor_entries,
+        total_peaks: finals.iter().map(|f| f.memory.total_peak()).collect(),
+        factor_entries: finals.iter().map(|f| f.memory.factors()).collect(),
         max_peak,
         avg_peak,
-        makespan,
+        makespan: drv.sim.now().max(disk_end),
         messages: drv.messages,
         events_delivered: drv.sim.delivered(),
-        traces: cfg
-            .record_traces
-            .then(|| mems.iter().map(|m| m.trace().cloned().unwrap_or_default()).collect()),
-        nodes_done,
+        traces: cfg.record_traces.then(|| {
+            finals.iter().map(|f| f.memory.trace().cloned().unwrap_or_default()).collect()
+        }),
+        nodes_done: survivors.iter().map(|f| f.nodes_done).sum(),
         total_nodes: n,
-        dropped_messages: drv.fault.as_ref().map_or(0, |f| f.dropped()),
-        forced_activations: cores.iter().map(|c| c.forced()).sum(),
-        final_active: mems.iter().map(|m| m.active()).collect(),
-        underflows: mems.iter().map(|m| m.underflows()).collect(),
+        dropped_messages,
+        forced_activations: finals.iter().map(|f| f.forced).sum(),
+        final_active: finals.iter().map(|f| f.memory.active()).collect(),
+        underflows: finals.iter().map(|f| f.memory.underflows()).collect(),
         metrics,
+        factor_digest: digest_factors(survivors.iter().map(|f| f.factors_by_node.as_slice()), n),
         recording: drv.rec,
         timeseries: drv.ts,
         peaks,
-        factor_digest,
         dead: drv.dead,
     })
 }

@@ -5,7 +5,7 @@
 //! children of the nodes it owned, and every message addressed to it.
 //! The surviving [`crate::proto::SchedulerCore`]s detect the silence
 //! through the lease protocol and emit `Effect::DeclareDead`; the
-//! *driver* (the discrete-event simulator or the threaded coordinator —
+//! *orchestrator* (`parsim::run_on`, whichever host runs the cores —
 //! the only party with a global, deterministic view) then builds a
 //! [`RecoveryPlan`] from per-processor [`RecoverySnapshot`]s and feeds it
 //! back into every surviving core as `Input::Recover`.

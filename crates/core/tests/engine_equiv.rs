@@ -54,54 +54,6 @@ fn strategy_cfg(which: usize, nprocs: usize) -> SolverConfig {
     }
 }
 
-/// Every field of two `RunResult`s must match (bit-identity across
-/// engines). Spelled out so a new field cannot silently escape the
-/// comparison — adding one is a compile error here.
-fn assert_results_identical(a: &RunResult, b: &RunResult) {
-    let RunResult {
-        peaks,
-        max_peak,
-        avg_peak,
-        makespan,
-        messages,
-        events_delivered,
-        traces,
-        total_peaks,
-        factor_entries,
-        nodes_done,
-        total_nodes,
-        dropped_messages,
-        forced_activations,
-        final_active,
-        underflows,
-        metrics,
-        recording,
-        timeseries,
-        factor_digest,
-        dead,
-    } = a;
-    assert_eq!(peaks, &b.peaks);
-    assert_eq!(max_peak, &b.max_peak);
-    assert_eq!(avg_peak, &b.avg_peak);
-    assert_eq!(makespan, &b.makespan);
-    assert_eq!(messages, &b.messages);
-    assert_eq!(events_delivered, &b.events_delivered);
-    assert_eq!(traces, &b.traces);
-    assert_eq!(total_peaks, &b.total_peaks);
-    assert_eq!(factor_entries, &b.factor_entries);
-    assert_eq!(nodes_done, &b.nodes_done);
-    assert_eq!(total_nodes, &b.total_nodes);
-    assert_eq!(dropped_messages, &b.dropped_messages);
-    assert_eq!(forced_activations, &b.forced_activations);
-    assert_eq!(final_active, &b.final_active);
-    assert_eq!(underflows, &b.underflows);
-    assert_eq!(metrics, &b.metrics);
-    assert_eq!(factor_digest, &b.factor_digest);
-    assert_eq!(dead, &b.dead);
-    assert_eq!(recording, &b.recording, "recordings must be bit-identical");
-    assert_eq!(timeseries, &b.timeseries, "timeseries must be bit-identical");
-}
-
 /// Names one leg's outcome for the divergence message of the membership
 /// property below.
 fn outcome_name<E>(r: &std::thread::Result<Result<RunResult, E>>) -> &'static str {
@@ -205,7 +157,7 @@ proptest! {
         };
         let a = parsim::run(&tree, &map, &cfg).unwrap();
         let b = parsim::run_reference(&tree, &map, &cfg).unwrap();
-        assert_results_identical(&a, &b);
+        assert_eq!(a, b);
     }
 
     /// Membership runs: processor loss, recovery, join, and rebalancing
@@ -254,7 +206,7 @@ proptest! {
             parsim::run_reference(&tree, &map, &cfg)
         }));
         match (a, b) {
-            (Ok(Ok(a)), Ok(Ok(b))) => assert_results_identical(&a, &b),
+            (Ok(Ok(a)), Ok(Ok(b))) => assert_eq!(a, b),
             (Ok(Err(ea)), Ok(Err(eb))) => {
                 prop_assert_eq!(format!("{ea:?}"), format!("{eb:?}"),
                     "both runs failed, but differently");
@@ -282,6 +234,6 @@ fn sampled_runs_identical_across_engines() {
         let map = compute_mapping(&tree, &cfg);
         let a = parsim::run(&tree, &map, &cfg).unwrap();
         let b = parsim::run_reference(&tree, &map, &cfg).unwrap();
-        assert_results_identical(&a, &b);
+        assert_eq!(a, b);
     }
 }
