@@ -2,7 +2,7 @@
 //! sequential factorization, rayon tree-parallel factorization, solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mf_frontal::dense::{partial_lu, partial_lu_blocked, DenseMat};
+use mf_frontal::dense::{partial_lu, partial_lu_blocked_mt, DenseMat};
 use mf_frontal::numeric::Factorization;
 use mf_frontal::parallel::factorize_parallel;
 use mf_order::OrderingKind;
@@ -39,7 +39,7 @@ fn bench_kernel(c: &mut Criterion) {
                 make,
                 |mut w| {
                     let mut perm = Vec::new();
-                    partial_lu_blocked(&mut w, p, 32, &mut perm).unwrap();
+                    partial_lu_blocked_mt(&mut w, p, 32, &mut perm, 1).unwrap();
                     w
                 },
                 criterion::BatchSize::SmallInput,

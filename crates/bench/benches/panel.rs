@@ -1,5 +1,5 @@
 //! Panel-factorization benchmark: the recursive (GEMM-rich) panel of
-//! `partial_lu_blocked` against the historical rank-1 panel, across the
+//! `partial_lu_blocked_mt` against the historical rank-1 panel, across the
 //! front sizes the paper's matrices produce. The trailing update is
 //! identical in both kernels, so any spread is the panel roofline gap
 //! this bench exists to watch.

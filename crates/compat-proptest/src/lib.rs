@@ -178,7 +178,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Accepted length specifications for [`vec`].
+    /// Accepted length specifications for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

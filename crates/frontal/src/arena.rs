@@ -7,7 +7,8 @@
 //! peak of each area in *entries* (f64 words), so that the numeric runs
 //! can validate the symbolic stack model used by the schedulers.
 
-/// A LIFO stack of contribution blocks with usage/peak accounting.
+/// A LIFO stack of contribution blocks. Its usage and peak are kept by
+/// [`MemoryAccount`], the ledger the statistics read.
 ///
 /// Blocks must be released in reverse order of allocation, which is
 /// exactly the postorder discipline of a sequential multifrontal
@@ -16,8 +17,6 @@
 pub struct CbStack {
     blocks: Vec<(u64, Vec<f64>)>, // (id, data)
     next_id: u64,
-    used: u64,
-    peak: u64,
 }
 
 /// Handle of a stacked contribution block.
@@ -32,23 +31,10 @@ impl CbStack {
 
     /// Pushes a block, returning its handle.
     pub fn push(&mut self, data: Vec<f64>) -> CbHandle {
-        self.used += data.len() as u64;
-        self.peak = self.peak.max(self.used);
         let id = self.next_id;
         self.next_id += 1;
         self.blocks.push((id, data));
         CbHandle(id)
-    }
-
-    /// Borrows the data of the block `h` (must still be stacked).
-    pub fn get(&self, h: CbHandle) -> &[f64] {
-        let (_, data) = self
-            .blocks
-            .iter()
-            .rev()
-            .find(|(id, _)| *id == h.0)
-            .expect("contribution block already released");
-        data
     }
 
     /// Releases the *top* block, which must be `h` — enforcing the LIFO
@@ -56,18 +42,7 @@ impl CbStack {
     pub fn pop(&mut self, h: CbHandle) -> Vec<f64> {
         let (id, data) = self.blocks.pop().expect("pop on empty CB stack");
         assert_eq!(id, h.0, "CB stack released out of order (id {} != top {})", h.0, id);
-        self.used -= data.len() as u64;
         data
-    }
-
-    /// Current entries stacked.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Peak entries stacked since creation.
-    pub fn peak(&self) -> u64 {
-        self.peak
     }
 
     /// Number of blocks currently stacked.
@@ -176,15 +151,11 @@ mod tests {
         let mut s = CbStack::new();
         let a = s.push(vec![0.0; 10]);
         let b = s.push(vec![0.0; 5]);
-        assert_eq!(s.used(), 15);
-        assert_eq!(s.peak(), 15);
-        s.pop(b);
-        assert_eq!(s.used(), 10);
+        assert_eq!(s.depth(), 2);
+        assert_eq!(s.pop(b).len(), 5);
         let c = s.push(vec![0.0; 2]);
-        assert_eq!(s.peak(), 15);
         s.pop(c);
-        s.pop(a);
-        assert_eq!(s.used(), 0);
+        assert_eq!(s.pop(a).len(), 10);
         assert_eq!(s.depth(), 0);
     }
 
@@ -195,14 +166,6 @@ mod tests {
         let a = s.push(vec![0.0; 1]);
         let _b = s.push(vec![0.0; 1]);
         s.pop(a);
-    }
-
-    #[test]
-    fn get_borrows_any_live_block() {
-        let mut s = CbStack::new();
-        let a = s.push(vec![1.0, 2.0]);
-        let _b = s.push(vec![3.0]);
-        assert_eq!(s.get(a), &[1.0, 2.0]);
     }
 
     #[test]

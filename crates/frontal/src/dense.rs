@@ -121,13 +121,6 @@ impl std::fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
-/// `dst[i] -= l[i] * u` over equal-length slices. Slicing `l` to
-/// `dst.len()` up front lets the inner loop run without bounds checks.
-#[inline]
-fn axpy_sub(dst: &mut [f64], l: &[f64], u: f64) {
-    gemm::axpy_sub(dst, l, u);
-}
-
 /// `dst[i] += src[i]` over equal-length slices (assembly fast path for
 /// contribution blocks whose variables land on consecutive parent rows).
 #[inline]
@@ -196,7 +189,7 @@ pub fn partial_lu(
             if ukj == 0.0 {
                 continue;
             }
-            axpy_sub(&mut colj[k + 1..], lcol, ukj);
+            gemm::axpy_sub(&mut colj[k + 1..], lcol, ukj);
         }
     }
     Ok(())
@@ -255,7 +248,7 @@ fn solve_u12_rec(cols: &mut [f64], f: usize, k0: usize, kend: usize, panel: &[f6
                     continue;
                 }
                 let base = k * f + k + 1;
-                axpy_sub(&mut colj[k + 1..kend], &panel[base..base + kend - k - 1], ukj);
+                gemm::axpy_sub(&mut colj[k + 1..kend], &panel[base..base + kend - k - 1], ukj);
             }
         }
         return;
@@ -299,7 +292,7 @@ fn ldlt_mirror_rec(
                     continue;
                 }
                 let base = k * f + k + 1;
-                axpy_sub(&mut colj[k + 1..kend], &panel[base..base + kend - k - 1], ljk_d);
+                gemm::axpy_sub(&mut colj[k + 1..kend], &panel[base..base + kend - k - 1], ljk_d);
             }
         }
         return;
@@ -427,7 +420,7 @@ fn panel_lu_rank1(
             if ukj == 0.0 {
                 continue;
             }
-            axpy_sub(&mut colj[k + 1..], lcol, ukj);
+            gemm::axpy_sub(&mut colj[k + 1..], lcol, ukj);
         }
     }
     Ok(())
@@ -493,7 +486,7 @@ fn panel_ldlt_rec(
                 if ljk_d == 0.0 {
                     continue;
                 }
-                axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
+                gemm::axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
             }
         }
         return Ok(());
@@ -514,24 +507,12 @@ fn panel_ldlt_rec(
 /// Cache-blocked variant of [`partial_lu`]: identical result (same pivot
 /// choices), computed by panels of `nb` columns with a packed-GEMM
 /// trailing update — the textbook BLAS-3 restructuring over the
-/// [`crate::gemm`] microkernels. Single-threaded; see
-/// [`partial_lu_blocked_mt`] for the within-front parallel variant
-/// (which this delegates to and is bit-identical with).
-pub fn partial_lu_blocked(
-    w: &mut DenseMat,
-    npiv: usize,
-    nb: usize,
-    row_perm: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    partial_lu_blocked_mt(w, npiv, nb, row_perm, 1)
-}
-
-/// [`partial_lu_blocked`] with the trailing update of each panel fanned
-/// out across up to `threads` rayon workers (within-front parallelism —
-/// the "malleable task" axis). Output bytes are identical for every
-/// `threads` value: the panel factorization is sequential, and the
-/// parallel trailing sweep partitions columns disjointly with a pinned
-/// per-element accumulation order (see [`crate::gemm`]).
+/// [`crate::gemm`] microkernels. The trailing update of each panel is
+/// fanned out across up to `threads` rayon workers (within-front
+/// parallelism — the "malleable task" axis). Output bytes are identical
+/// for every `threads` value: the panel factorization is sequential, and
+/// the parallel trailing sweep partitions columns disjointly with a
+/// pinned per-element accumulation order (see [`crate::gemm`]).
 pub fn partial_lu_blocked_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -569,7 +550,7 @@ pub fn partial_lu_blocked_mt(
     Ok(())
 }
 
-/// [`partial_lu_blocked`] with the *rank-1* panel of the pre-recursive
+/// [`partial_lu_blocked_mt`] with the *rank-1* panel of the pre-recursive
 /// kernel: identical pivot rule and trailing update, but the panel
 /// columns advance by `axpy_sub` alone. Kept as the reference the
 /// `panel` benchmark and the recursive-panel tests compare against —
@@ -636,7 +617,7 @@ pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
             if ljk_d == 0.0 {
                 continue;
             }
-            axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
+            gemm::axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
         }
     }
     Ok(())
@@ -647,14 +628,9 @@ pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
 /// rank-1 form (all rows); trailing columns receive the fully-summed-row
 /// mirror updates per column and a deferred `W22 -= L21 · (D·L21ᵀ)`
 /// through the packed microkernels. Values differ from the rank-1 kernel
-/// only by summation order. See [`partial_ldlt_blocked_mt`].
-pub fn partial_ldlt_blocked(w: &mut DenseMat, npiv: usize, nb: usize) -> Result<(), KernelError> {
-    partial_ldlt_blocked_mt(w, npiv, nb, 1)
-}
-
-/// [`partial_ldlt_blocked`] with the trailing update of each panel fanned
-/// out across up to `threads` rayon workers. Bit-identical output for
-/// every `threads` value, by the same argument as
+/// only by summation order. The trailing update of each panel is fanned
+/// out across up to `threads` rayon workers, with bit-identical output
+/// for every `threads` value by the same argument as
 /// [`partial_lu_blocked_mt`]: columns are partitioned disjointly and the
 /// per-element accumulation order is pinned.
 pub fn partial_ldlt_blocked_mt(
@@ -693,24 +669,17 @@ pub fn partial_ldlt_blocked_mt(
     Ok(())
 }
 
-/// Production entry point used by the numeric drivers: picks the blocked
+/// Production entry point of the numeric drivers: picks the blocked
 /// kernel for pivot blocks large enough to benefit, the rank-1 kernel
 /// otherwise. Both compute the same factorization (identical pivot
 /// choices; floating-point results differ only by summation order).
 /// The threshold follows the `numeric/kernel` benchmarks: below it the
 /// rank-1 kernel wins on this workload's cache-resident fronts.
-pub fn factor_front_lu(
-    w: &mut DenseMat,
-    npiv: usize,
-    row_perm: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    factor_front_lu_mt(w, npiv, row_perm, 1)
-}
-
-/// [`factor_front_lu`] with a within-front thread budget. The kernel
-/// choice depends **only** on `npiv` — never on `threads` — so a
-/// different cores-per-front setting can never change which arithmetic
-/// runs, and the factors stay bit-identical across budgets.
+///
+/// `threads` is the within-front thread budget. The kernel choice
+/// depends **only** on `npiv` — never on `threads` — so a different
+/// cores-per-front setting can never change which arithmetic runs, and
+/// the factors stay bit-identical across budgets.
 pub fn factor_front_lu_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -724,14 +693,9 @@ pub fn factor_front_lu_mt(
     }
 }
 
-/// Symmetric analogue of [`factor_front_lu`]: blocked LDLᵀ for large
-/// pivot blocks, rank-1 otherwise.
-pub fn factor_front_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
-    factor_front_ldlt_mt(w, npiv, 1)
-}
-
-/// [`factor_front_ldlt`] with a within-front thread budget; same
-/// `npiv`-only dispatch rule as [`factor_front_lu_mt`].
+/// Symmetric analogue of [`factor_front_lu_mt`]: blocked LDLᵀ for large
+/// pivot blocks, rank-1 otherwise, with the same `npiv`-only dispatch
+/// rule.
 pub fn factor_front_ldlt_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -760,7 +724,8 @@ pub const FRONT_NB: usize = 128;
 
 /// Full dense LU solve used as a test oracle: solves `A x = b` with
 /// partial pivoting over all rows. Returns `None` for singular input.
-pub fn dense_solve(a: &DenseMat, b: &[f64]) -> Option<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn dense_solve(a: &DenseMat, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     assert_eq!(b.len(), n);
@@ -964,7 +929,7 @@ mod tests {
             let mut w2 = a.clone();
             let (mut p1, mut p2) = (Vec::new(), Vec::new());
             partial_lu(&mut w1, p, &mut p1).unwrap();
-            partial_lu_blocked(&mut w2, p, nb, &mut p2).unwrap();
+            partial_lu_blocked_mt(&mut w2, p, nb, &mut p2, 1).unwrap();
             assert_eq!(p1, p2, "pivot choices must agree (f={f}, p={p})");
             for j in 0..f {
                 for i in 0..f {
@@ -996,7 +961,7 @@ mod tests {
             let mut w1 = a.clone();
             let mut w2 = a.clone();
             partial_ldlt(&mut w1, p).unwrap();
-            partial_ldlt_blocked(&mut w2, p, nb).unwrap();
+            partial_ldlt_blocked_mt(&mut w2, p, nb, 1).unwrap();
             for j in 0..f {
                 for i in 0..f {
                     let (x, y) = (w1.get(i, j), w2.get(i, j));
@@ -1043,7 +1008,7 @@ mod tests {
         *w.get_mut(0, 0) = 1.0; // rank 1: second pivot is exactly zero
         let mut perm = Vec::new();
         assert!(matches!(
-            partial_lu_blocked(&mut w, 2, 2, &mut perm),
+            partial_lu_blocked_mt(&mut w, 2, 2, &mut perm, 1),
             Err(KernelError::TinyPivot { .. })
         ));
     }
@@ -1056,7 +1021,7 @@ mod tests {
         let mut w1 = a.clone();
         let mut w2 = a.clone();
         let (mut p1, mut p2) = (Vec::new(), Vec::new());
-        factor_front_lu(&mut w1, 520, &mut p1).unwrap(); // blocked path
+        factor_front_lu_mt(&mut w1, 520, &mut p1, 1).unwrap(); // blocked path
         partial_lu(&mut w2, 520, &mut p2).unwrap();
         assert_eq!(p1, p2);
     }

@@ -19,11 +19,16 @@
 //! * [`parallel`] — a rayon tree-parallel variant exploiting the same
 //!   tree parallelism the paper's type-1 nodes exploit across MPI ranks,
 //!   here across threads.
+//!
+//! Both drivers assemble, factor and split every front through one
+//! crate-private routine, so their factors are byte-identical; they
+//! differ only in tree traversal and memory accounting.
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom of dense kernels
 pub mod arena;
 pub mod dense;
+mod front;
 pub mod gemm;
 pub mod numeric;
 pub mod parallel;

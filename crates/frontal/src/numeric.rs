@@ -1,18 +1,18 @@
 //! Sequential numeric multifrontal factorization and solve.
 //!
 //! This is the correctness anchor of the reproduction: it executes the
-//! assembly tree produced by `mf-symbolic` with real arithmetic, the
-//! three-area memory discipline of [`crate::arena`], and the dense kernels
-//! of [`crate::dense`] — and verifies, through residual tests, that the
-//! whole symbolic pipeline (ordering → etree → amalgamation → fronts) is
-//! consistent.
+//! assembly tree produced by `mf-symbolic` with real arithmetic and the
+//! three-area memory discipline of [`crate::arena`] — and verifies,
+//! through residual tests, that the whole symbolic pipeline (ordering →
+//! etree → amalgamation → fronts) is consistent. Each front is assembled,
+//! factored and split by the routine this driver shares with
+//! [`crate::parallel`]; this module owns only the postorder traversal,
+//! the contribution-block stack and the memory ledger.
 
 use crate::arena::{CbStack, MemoryAccount};
-use crate::dense::{
-    add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat, KernelError,
-};
+use crate::dense::{DenseMat, KernelError};
+use crate::front::Fronts;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
-use mf_symbolic::frontstruct::{front_structures, FrontStructures};
 use mf_symbolic::{AmalgamationOptions, SymbolicAnalysis};
 
 /// Knobs of the numeric factorization drivers.
@@ -27,14 +27,14 @@ pub struct NumericOptions {
     /// keeps every front sequential.
     pub cores_per_front: usize,
     /// When set, the parallel driver allots within-front threads
-    /// *malleably*: a front entering its factorization kernel is granted
+    /// *malleably*: a front entering its factorization is granted
     /// `pool / busy` threads (clamped to `[1, cores_per_front]`), where
-    /// `busy` counts the fronts concurrently inside their kernels. Leaf
-    /// storms run one thread per front; the root chain collects the
-    /// whole pool. Factor bytes stay independent of the grants (same
-    /// invariant as `cores_per_front` itself — see the determinism
-    /// suite). Ignored by the sequential driver, where `busy` is always
-    /// one.
+    /// `busy` counts the fronts concurrently being factored (assembly,
+    /// kernel and split). Leaf storms run one thread per front; the root
+    /// chain collects the whole pool. Factor bytes stay independent of
+    /// the grants (same invariant as `cores_per_front` itself — see the
+    /// determinism suite). Ignored by the sequential driver, where
+    /// `busy` is always one.
     pub malleable_pool: Option<usize>,
 }
 
@@ -142,11 +142,7 @@ impl Factorization {
         s: &SymbolicAnalysis,
         opts: &NumericOptions,
     ) -> Result<Self, FactorError> {
-        if a.nrows() != a.ncols() {
-            return Err(FactorError::NotSquare);
-        }
-        let fs = front_structures(s);
-        factorize_sequential(a, s, &fs, opts)
+        factorize_sequential(a, s, opts)
     }
 
     /// Order-stable FNV-1a digest of the complete numeric content:
@@ -340,195 +336,51 @@ impl Factorization {
 fn factorize_sequential(
     a: &CscMatrix,
     s: &SymbolicAnalysis,
-    fs: &FrontStructures,
     opts: &NumericOptions,
 ) -> Result<Factorization, FactorError> {
+    let fronts_in = Fronts::new(a, s)?;
     let threads = opts.cores_per_front.max(1);
     let tree = &s.tree;
-    let sym = tree.sym;
-    let n = tree.n;
-    let pa = a.permute_symmetric(&s.perm);
-    let pat = if sym == Symmetry::General { Some(pa.transpose()) } else { None };
-
     let topo = tree.topo_order();
     let mut fronts: Vec<Option<FrontFactor>> = vec![None; tree.len()];
     let mut cb_stack = CbStack::new();
     let mut cb_handles = vec![None; tree.len()];
     let mut account = MemoryAccount::new();
-    let mut loc = vec![usize::MAX; n];
 
     for &v in &topo {
-        let nd = &tree.nodes[v];
-        let vars = &fs.rows[v];
-        let f = vars.len();
-        let p = nd.npiv;
-        for (l, &gv) in vars.iter().enumerate() {
-            loc[gv] = l;
-        }
-
         account.alloc_front(tree.front_entries(v));
-        let mut w = DenseMat::zeros(f, f);
-
-        // ---- Assemble original-matrix entries. ----
-        // A chain head assembles the entries of the *whole* original front
-        // (its tail links' pivot columns included); tail links assemble
-        // nothing — they continue on the Schur complement.
-        let span = if tree.is_chain_tail(v) { 0 } else { tree.chain_npiv(v) };
-        match sym {
-            Symmetry::Symmetric => {
-                for c in nd.first_col..nd.first_col + span {
-                    let lc = loc[c];
-                    for (&i, &val) in pa.rows_in_col(c).iter().zip(pa.vals_in_col(c)) {
-                        if i < c {
-                            continue; // mirrored from the earlier pivot column
-                        }
-                        let li = loc[i];
-                        w.add(li, lc, val);
-                        if li != lc {
-                            w.add(lc, li, val);
-                        }
-                    }
-                }
-            }
-            Symmetry::General => {
-                let pat = pat.as_ref().unwrap();
-                for c in nd.first_col..nd.first_col + span {
-                    let lc = loc[c];
-                    // Column part: rows at or below this front's pivots.
-                    for (&i, &val) in pa.rows_in_col(c).iter().zip(pa.vals_in_col(c)) {
-                        if i >= nd.first_col {
-                            w.add(loc[i], lc, val);
-                        }
-                    }
-                    // Row part: columns strictly in the CB variable range.
-                    for (&j, &val) in pat.rows_in_col(c).iter().zip(pat.vals_in_col(c)) {
-                        if j >= nd.first_col + span {
-                            w.add(lc, loc[j], val);
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Extend-add children (LIFO pops: reverse child order). ----
-        for &ch in nd.children.iter().rev() {
-            let h = cb_handles[ch].take().expect("child CB missing");
-            let cb_vars = fs.cb_rows(tree, ch);
-            let cf = cb_vars.len();
-            {
-                let data = cb_stack.get(h);
-                debug_assert_eq!(data.len(), cf * cf);
-                // When the CB variables land on consecutive parent rows
-                // (the common case for the last child absorbed into an
-                // amalgamated parent), each CB column is one contiguous
-                // slice-add; otherwise fall back to the indexed scatter.
-                // The choice is structural, so it cannot vary across
-                // runs of the same tree.
-                let contiguous = cf > 0
-                    && cb_vars.iter().enumerate().all(|(ci, &gv)| loc[gv] == loc[cb_vars[0]] + ci);
-                if contiguous {
-                    let l0 = loc[cb_vars[0]];
-                    for (cj, &gj) in cb_vars.iter().enumerate() {
-                        let lj = loc[gj];
-                        let col = &data[cj * cf..(cj + 1) * cf];
-                        add_assign_slice(&mut w.col_mut(lj)[l0..l0 + cf], col);
-                    }
-                } else {
-                    for (cj, &gj) in cb_vars.iter().enumerate() {
-                        let lj = loc[gj];
-                        let col = &data[cj * cf..(cj + 1) * cf];
-                        for (ci, &gi) in cb_vars.iter().enumerate() {
-                            let x = col[ci];
-                            if x != 0.0 {
-                                w.add(loc[gi], lj, x);
-                            }
-                        }
-                    }
-                }
-            }
-            cb_stack.pop(h);
-            account.pop_cb(tree.cb_entries(ch));
-        }
-
-        // ---- Partial factorization. ----
-        let mut row_perm = Vec::new();
-        match sym {
-            Symmetry::General => {
-                factor_front_lu_mt(&mut w, p, &mut row_perm, threads)
-                    .map_err(|source| FactorError::Kernel { node: v, source })?;
-            }
-            Symmetry::Symmetric => {
-                factor_front_ldlt_mt(&mut w, p, threads)
-                    .map_err(|source| FactorError::Kernel { node: v, source })?;
-                row_perm = (0..f).collect();
-            }
-        }
-
-        // ---- Extract factor blocks and the contribution block. ----
-        let mut block11 = DenseMat::zeros(p, p);
-        let mut l21 = DenseMat::zeros(f - p, p);
-        for k in 0..p {
-            for i in 0..p {
-                *block11.get_mut(i, k) = w.get(i, k);
-            }
-            for i in 0..f - p {
-                *l21.get_mut(i, k) = w.get(p + i, k);
-            }
-        }
-        let (u12, d) = match sym {
-            Symmetry::General => {
-                let mut u12 = DenseMat::zeros(p, f - p);
-                for j in 0..f - p {
-                    for k in 0..p {
-                        *u12.get_mut(k, j) = w.get(k, p + j);
-                    }
-                }
-                (u12, Vec::new())
-            }
-            Symmetry::Symmetric => {
-                let d: Vec<f64> = (0..p).map(|k| w.get(k, k)).collect();
-                (DenseMat::zeros(0, 0), d)
-            }
-        };
+        // Postorder leaves the children's blocks on top of the stack in
+        // child order, so LIFO pops release them in reverse: the order
+        // the front routine extend-adds them in.
+        let child_cbs = tree.nodes[v]
+            .children
+            .iter()
+            .rev()
+            .map(|&ch| {
+                account.pop_cb(tree.cb_entries(ch));
+                cb_stack.pop(cb_handles[ch].take().expect("child CB missing"))
+            })
+            .collect();
+        let (factor, cb) = fronts_in.factor(v, child_cbs, threads)?;
         account.store_factors(tree.factor_entries(v));
 
-        // ---- Push own contribution block. ----
         // Accounting note: the front is released *before* the CB is
         // counted on the stack, reflecting the contiguous-memory layout
         // where the CB part of the front is relabeled in place as stack
         // memory (the front sits at the top of the stack area). This
         // matches the FrontThenFree discipline of `mf_symbolic::seqstack`.
         account.free_front(tree.front_entries(v));
-        if f > p {
-            let cf = f - p;
-            let mut cb = vec![0.0; cf * cf];
-            for j in 0..cf {
-                for i in 0..cf {
-                    cb[j * cf + i] = w.get(p + i, p + j);
-                }
-            }
+        if !cb.is_empty() {
             cb_handles[v] = Some(cb_stack.push(cb));
             account.push_cb(tree.cb_entries(v));
         }
-
-        fronts[v] = Some(FrontFactor {
-            vars: vars.clone(),
-            npiv: p,
-            row_perm: row_perm[..p].to_vec(),
-            block11,
-            l21,
-            u12,
-            d,
-        });
-        for &gv in vars {
-            loc[gv] = usize::MAX;
-        }
+        fronts[v] = Some(factor);
     }
 
     debug_assert_eq!(cb_stack.depth(), 0, "all CBs must be consumed");
     Ok(Factorization {
-        sym,
-        n,
+        sym: tree.sym,
+        n: tree.n,
         perm: s.perm.clone(),
         fronts,
         topo,
@@ -610,16 +462,24 @@ mod tests {
     fn stack_peak_matches_symbolic_model() {
         // The numeric run's accounting must equal the symbolic sequential
         // analysis under the same (FrontThenFree) discipline and the same
-        // child order.
-        let a = grid2d(10, 10, Stencil::Star);
-        let s =
-            mf_symbolic::analyze(&a, &Permutation::identity(100), &AmalgamationOptions::default());
-        let f = Factorization::from_symbolic(&a, &s).unwrap();
-        let model = mf_symbolic::seqstack::sequential_peak(
-            &s.tree,
-            mf_symbolic::seqstack::AssemblyDiscipline::FrontThenFree,
-        );
-        assert_eq!(f.stats.active_peak, model);
+        // child order: on a grid, and on every paper matrix at the
+        // determinism suite's scale.
+        let grid = grid2d(10, 10, Stencil::Star);
+        let mut cases = vec![("grid 10x10".to_string(), grid, Permutation::identity(100))];
+        for m in mf_sparse::gen::paper::ALL_PAPER_MATRICES {
+            let a = m.instantiate_scaled(0.08);
+            let perm = mf_order::OrderingKind::Amd.compute(&a);
+            cases.push((m.name().to_string(), a, perm));
+        }
+        for (name, a, perm) in cases {
+            let s = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default());
+            let f = Factorization::from_symbolic(&a, &s).unwrap();
+            let model = mf_symbolic::seqstack::sequential_peak(
+                &s.tree,
+                mf_symbolic::seqstack::AssemblyDiscipline::FrontThenFree,
+            );
+            assert_eq!(f.stats.active_peak, model, "{name}");
+        }
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //!
 //! The multifrontal method's tree parallelism — the paper's type-1
 //! parallelism across MPI ranks — maps directly onto fork-join threading:
-//! independent subtrees factorize concurrently, each front sequentially.
-//! This module provides that shared-memory variant. It trades the strict
-//! LIFO stack discipline (meaningless under concurrency) for per-node CB
-//! buffers; memory is tracked with atomic high-water counters instead
+//! independent subtrees factorize concurrently, and each front may also
+//! split its trailing update across threads (`cores_per_front`, granted
+//! malleably under `malleable_pool`). This module provides that
+//! shared-memory variant. It runs the same front routine as the
+//! sequential driver and is byte-identical to it; it differs only in
+//! traversal and accounting. It trades the strict LIFO stack discipline
+//! (meaningless under concurrency) for per-node CB buffers; memory is
+//! tracked with atomic high-water counters instead
 //! ([`factorize_parallel`]'s `NumericStats` reports the honest peak of
 //! live front + CB entries across all workers).
 
-use crate::dense::{add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat};
+use crate::front::Fronts;
 use crate::numeric::{FactorError, Factorization, FrontFactor, NumericOptions, NumericStats};
-use mf_sparse::{CscMatrix, Symmetry};
-use mf_symbolic::frontstruct::{front_structures, FrontStructures};
+use mf_sparse::CscMatrix;
 use mf_symbolic::SymbolicAnalysis;
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -58,32 +61,28 @@ impl ParAccount {
 }
 
 struct Ctx<'a> {
-    tree: &'a mf_symbolic::AssemblyTree,
-    fs: &'a FrontStructures,
-    pa: &'a CscMatrix,
-    pat: Option<&'a CscMatrix>,
-    sym: Symmetry,
+    fronts: Fronts<'a>,
     threads: usize,
     /// `Some(pool)` makes the within-front thread budget a scheduling
     /// decision (see [`NumericOptions::malleable_pool`]); `threads` then
     /// acts as the per-front cap.
     pool: Option<usize>,
-    /// Fronts currently inside their factorization kernel (malleable
-    /// grant denominator).
-    in_kernel: AtomicUsize,
+    /// Fronts currently being factored (malleable grant denominator).
+    busy: AtomicUsize,
     acct: ParAccount,
     slots: Vec<Mutex<Option<FrontFactor>>>,
 }
 
 impl Ctx<'_> {
-    /// Thread budget granted to a front entering its kernel. Purely a
-    /// performance decision: the kernels produce bit-identical factors
-    /// for any budget, so a racy `busy` count cannot perturb results.
+    /// Thread budget granted to a front entering its factorization.
+    /// Purely a performance decision: the kernels produce bit-identical
+    /// factors for any budget, so a racy `busy` count cannot perturb
+    /// results.
     fn grant_threads(&self) -> usize {
         match self.pool {
             None => self.threads,
             Some(pool) => {
-                let busy = self.in_kernel.fetch_add(1, Ordering::Relaxed) + 1;
+                let busy = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
                 (pool / busy).clamp(1, self.threads.max(1))
             }
         }
@@ -91,15 +90,15 @@ impl Ctx<'_> {
 
     fn release_threads(&self) {
         if self.pool.is_some() {
-            self.in_kernel.fetch_sub(1, Ordering::Relaxed);
+            self.busy.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
 /// Factorizes `a` over the symbolic analysis `s`, exploiting tree
-/// parallelism with rayon. Numerically equivalent to the sequential
-/// driver (same kernels, same assembly), up to floating-point summation
-/// order in the extend-add, which is fixed per child and thus identical.
+/// parallelism with rayon. Byte-identical to the sequential driver: both
+/// run the same front routine and extend-add the children in the same
+/// (reverse child) order, so [`Factorization::content_digest`] agrees.
 pub fn factorize_parallel(
     a: &CscMatrix,
     s: &SymbolicAnalysis,
@@ -116,21 +115,11 @@ pub fn factorize_parallel_with(
     s: &SymbolicAnalysis,
     opts: &NumericOptions,
 ) -> Result<Factorization, FactorError> {
-    if a.nrows() != a.ncols() {
-        return Err(FactorError::NotSquare);
-    }
-    let fs = front_structures(s);
-    let pa = a.permute_symmetric(&s.perm);
-    let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
     let ctx = Ctx {
-        tree: &s.tree,
-        fs: &fs,
-        pa: &pa,
-        pat: pat.as_ref(),
-        sym: s.tree.sym,
+        fronts: Fronts::new(a, s)?,
         threads: opts.cores_per_front.max(1),
         pool: opts.malleable_pool,
-        in_kernel: AtomicUsize::new(0),
+        busy: AtomicUsize::new(0),
         acct: ParAccount::default(),
         slots: (0..s.tree.len()).map(|_| Mutex::new(None)).collect(),
     };
@@ -157,148 +146,30 @@ pub fn factorize_parallel_with(
 /// Processes the subtree rooted at `v`; returns the contribution block
 /// (column-major, over the CB variables of `v`).
 fn process(ctx: &Ctx<'_>, v: usize) -> Result<Vec<f64>, FactorError> {
-    let nd = &ctx.tree.nodes[v];
+    let nd = &ctx.fronts.tree.nodes[v];
     // Children first — in parallel when there are several.
-    let child_cbs: Vec<Vec<f64>> = if nd.children.len() > 1 {
+    let mut child_cbs: Vec<Vec<f64>> = if nd.children.len() > 1 {
         nd.children.par_iter().map(|&c| process(ctx, c)).collect::<Result<Vec<_>, _>>()?
     } else {
         nd.children.iter().map(|&c| process(ctx, c)).collect::<Result<Vec<_>, _>>()?
     };
+    // The front routine takes the blocks in reverse child order.
+    child_cbs.reverse();
+    let child_entries: u64 = child_cbs.iter().map(|cb| cb.len() as u64).sum();
 
-    let vars = &ctx.fs.rows[v];
-    let f = vars.len();
-    let p = nd.npiv;
-    // Variable lists are sorted ascending, so local indices come from
-    // binary search (no O(n) scratch per task).
-    let loc = |gv: usize| vars.binary_search(&gv).expect("variable in front");
-
-    ctx.acct.alloc_front((f * f) as u64);
-    let mut w = DenseMat::zeros(f, f);
-    // Chain heads assemble the whole original front; tail links nothing.
-    let span = if ctx.tree.is_chain_tail(v) { 0 } else { ctx.tree.chain_npiv(v) };
-    match ctx.sym {
-        Symmetry::Symmetric => {
-            for c in nd.first_col..nd.first_col + span {
-                let lc = loc(c);
-                for (&i, &val) in ctx.pa.rows_in_col(c).iter().zip(ctx.pa.vals_in_col(c)) {
-                    if i < c {
-                        continue;
-                    }
-                    let li = loc(i);
-                    w.add(li, lc, val);
-                    if li != lc {
-                        w.add(lc, li, val);
-                    }
-                }
-            }
-        }
-        Symmetry::General => {
-            let pat = ctx.pat.unwrap();
-            for c in nd.first_col..nd.first_col + span {
-                let lc = loc(c);
-                for (&i, &val) in ctx.pa.rows_in_col(c).iter().zip(ctx.pa.vals_in_col(c)) {
-                    if i >= nd.first_col {
-                        w.add(loc(i), lc, val);
-                    }
-                }
-                for (&j, &val) in pat.rows_in_col(c).iter().zip(pat.vals_in_col(c)) {
-                    if j >= nd.first_col + span {
-                        w.add(lc, loc(j), val);
-                    }
-                }
-            }
-        }
-    }
-
-    // Extend-add the children. Local indices are precomputed per child;
-    // when they are consecutive, each CB column is one contiguous
-    // slice-add (same structural fast path as the sequential driver).
-    for (&ch, cb) in nd.children.iter().zip(&child_cbs) {
-        let cb_vars = ctx.fs.cb_rows(ctx.tree, ch);
-        let cf = cb_vars.len();
-        debug_assert_eq!(cb.len(), cf * cf);
-        let locs: Vec<usize> = cb_vars.iter().map(|&gv| loc(gv)).collect();
-        let contiguous = cf > 0 && locs.iter().enumerate().all(|(ci, &l)| l == locs[0] + ci);
-        if contiguous {
-            let l0 = locs[0];
-            for (cj, &lj) in locs.iter().enumerate() {
-                add_assign_slice(&mut w.col_mut(lj)[l0..l0 + cf], &cb[cj * cf..(cj + 1) * cf]);
-            }
-        } else {
-            for (cj, &lj) in locs.iter().enumerate() {
-                let col = &cb[cj * cf..(cj + 1) * cf];
-                for (ci, &li) in locs.iter().enumerate() {
-                    let x = col[ci];
-                    if x != 0.0 {
-                        w.add(li, lj, x);
-                    }
-                }
-            }
-        }
-        ctx.acct.pop_cb((cf * cf) as u64);
-    }
-    drop(child_cbs);
-
-    let mut row_perm = Vec::new();
+    let front_entries = (nd.nfront * nd.nfront) as u64;
+    ctx.acct.alloc_front(front_entries);
     let granted = ctx.grant_threads();
-    let factored = match ctx.sym {
-        Symmetry::General => factor_front_lu_mt(&mut w, p, &mut row_perm, granted),
-        Symmetry::Symmetric => factor_front_ldlt_mt(&mut w, p, granted).inspect(|_| {
-            row_perm = (0..f).collect();
-        }),
-    };
+    let factored = ctx.fronts.factor(v, child_cbs, granted);
     ctx.release_threads();
-    factored.map_err(|source| FactorError::Kernel { node: v, source })?;
+    let (factor, cb) = factored?;
+    ctx.acct.pop_cb(child_entries);
+    // The CB is a copy: it coexists with the front until the front is
+    // dropped, and the ledger counts both.
+    ctx.acct.push_cb(cb.len() as u64);
+    ctx.acct.free_front(front_entries);
 
-    let mut block11 = DenseMat::zeros(p, p);
-    let mut l21 = DenseMat::zeros(f - p, p);
-    for k in 0..p {
-        for i in 0..p {
-            *block11.get_mut(i, k) = w.get(i, k);
-        }
-        for i in 0..f - p {
-            *l21.get_mut(i, k) = w.get(p + i, k);
-        }
-    }
-    let (u12, d) = match ctx.sym {
-        Symmetry::General => {
-            let mut u12 = DenseMat::zeros(p, f - p);
-            for j in 0..f - p {
-                for k in 0..p {
-                    *u12.get_mut(k, j) = w.get(k, p + j);
-                }
-            }
-            (u12, Vec::new())
-        }
-        Symmetry::Symmetric => {
-            let d: Vec<f64> = (0..p).map(|k| w.get(k, k)).collect();
-            (DenseMat::zeros(0, 0), d)
-        }
-    };
-
-    let mut cb = Vec::new();
-    if f > p {
-        let cf = f - p;
-        ctx.acct.push_cb((cf * cf) as u64);
-        cb = vec![0.0; cf * cf];
-        for j in 0..cf {
-            for i in 0..cf {
-                cb[j * cf + i] = w.get(p + i, p + j);
-            }
-        }
-    }
-    drop(w);
-    ctx.acct.free_front((f * f) as u64);
-
-    *ctx.slots[v].lock() = Some(FrontFactor {
-        vars: vars.clone(),
-        npiv: p,
-        row_perm: row_perm[..p].to_vec(),
-        block11,
-        l21,
-        u12,
-        d,
-    });
+    *ctx.slots[v].lock() = Some(factor);
     Ok(cb)
 }
 
@@ -306,7 +177,7 @@ fn process(ctx: &Ctx<'_>, v: usize) -> Result<Vec<f64>, FactorError> {
 mod tests {
     use super::*;
     use mf_sparse::gen::grid::{grid2d, grid3d, Stencil};
-    use mf_sparse::Permutation;
+    use mf_sparse::{Permutation, Symmetry};
     use mf_symbolic::AmalgamationOptions;
 
     fn rhs(n: usize) -> Vec<f64> {
@@ -321,12 +192,7 @@ mod tests {
             mf_symbolic::analyze(&a, &Permutation::identity(n), &AmalgamationOptions::default());
         let fseq = Factorization::from_symbolic(&a, &s).unwrap();
         let fpar = factorize_parallel(&a, &s).unwrap();
-        let b = rhs(n);
-        let xs = fseq.solve(&b);
-        let xp = fpar.solve(&b);
-        for i in 0..n {
-            assert!((xs[i] - xp[i]).abs() < 1e-10, "x[{i}]");
-        }
+        assert_eq!(fpar.content_digest(), fseq.content_digest());
     }
 
     #[test]
@@ -335,7 +201,9 @@ mod tests {
         let n = a.nrows();
         let s =
             mf_symbolic::analyze(&a, &Permutation::identity(n), &AmalgamationOptions::default());
+        let fseq = Factorization::from_symbolic(&a, &s).unwrap();
         let fpar = factorize_parallel(&a, &s).unwrap();
+        assert_eq!(fpar.content_digest(), fseq.content_digest());
         let b = rhs(n);
         let x = fpar.solve(&b);
         let r = Factorization::residual_inf(&a, &x, &b);

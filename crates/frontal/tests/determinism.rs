@@ -1,8 +1,11 @@
 //! Determinism suite: the factorization bytes must not depend on *how*
 //! the work was scheduled or *which* SIMD path computed it.
 //!
-//! Three independent axes are pinned by construction and verified here:
+//! Four independent axes are pinned by construction and verified here:
 //!
+//! * **driver** — the sequential and rayon drivers run one front routine
+//!   and extend-add the children in one order (reverse child order), so
+//!   the sequential digest is the reference every parallel run matches;
 //! * **rayon pool width** — tree tasks partition the assembly tree, and
 //!   each front's trailing sweep partitions columns disjointly, so no
 //!   cross-thread reduction exists whose order could vary;
@@ -45,14 +48,22 @@ fn parallel_digest(a: &CscMatrix, s: &SymbolicAnalysis, width: usize) -> Result<
     pool.install(|| factorize_parallel_with(a, s, &opts)).map(|f| f.content_digest())
 }
 
+fn sequential_digest(m: PaperMatrix, a: &CscMatrix, s: &SymbolicAnalysis) -> u64 {
+    Factorization::from_symbolic(a, s)
+        .unwrap_or_else(|e| panic!("{}: {e}", m.name()))
+        .content_digest()
+}
+
 #[test]
 fn factors_bit_identical_across_pool_widths() {
+    // The sequential driver is the reference: the rayon driver runs the
+    // same front routine with the same extend-add order at every width.
     for m in ALL_PAPER_MATRICES {
         let (a, s) = analyzed(m);
-        let base = parallel_digest(&a, &s, 1).unwrap_or_else(|e| panic!("{}: {e}", m.name()));
-        for width in [2, 8] {
+        let base = sequential_digest(m, &a, &s);
+        for width in [1, 2, 8] {
             let got = parallel_digest(&a, &s, width).unwrap();
-            assert_eq!(got, base, "{} differs at pool width {width}", m.name());
+            assert_eq!(got, base, "{} differs from sequential at pool width {width}", m.name());
         }
     }
 }
@@ -74,11 +85,12 @@ fn sequential_driver_ignores_cores_per_front() {
 fn malleable_thread_grants_leave_factors_bit_identical() {
     // The malleable allocator's busy count is racy by design; it is
     // safe only because the kernels are budget-invariant. Pin the
-    // digest across pool sizes (and against the fixed-budget run) on
-    // every paper matrix.
+    // digest across pool sizes (and against the fixed-budget run and
+    // the sequential driver) on every paper matrix.
     for m in ALL_PAPER_MATRICES {
         let (a, s) = analyzed(m);
         let base = parallel_digest(&a, &s, 4).unwrap_or_else(|e| panic!("{}: {e}", m.name()));
+        assert_eq!(base, sequential_digest(m, &a, &s), "{} differs from sequential", m.name());
         for pool in [1usize, 2, 8] {
             let opts = NumericOptions { cores_per_front: 4, malleable_pool: Some(pool) };
             let got = factorize_parallel_with(&a, &s, &opts).unwrap().content_digest();

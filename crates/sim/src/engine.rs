@@ -171,7 +171,7 @@ const ABSENT: u32 = u32::MAX;
 /// Every event is routed to the lane of the processor it will fire on
 /// (`to` for messages, `proc` for timers, the *sender* for broadcast
 /// blocks — the lane only orders, delivery targets come from the block).
-/// Each lane is a small binary min-heap of [`LaneEntry`]; a lane's head
+/// Each lane is a small binary min-heap of `LaneEntry`; a lane's head
 /// is its earliest event. The *merge front* is an indexed binary min-heap
 /// over the non-empty lanes, keyed by their heads: the global minimum is
 /// the front's root's head, so a pop costs `O(log lane + log P)` instead

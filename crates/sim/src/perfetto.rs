@@ -1,6 +1,6 @@
 //! Chrome trace-event export (loads in Perfetto / `chrome://tracing`).
 //!
-//! Renders a [`Recording`](crate::recorder::Recording) as the JSON
+//! Renders a [`Recording`] as the JSON
 //! trace-event format: one *process* per simulated processor, compute
 //! spans as balanced `B`/`E` duration slices on its thread track, and
 //! the active-memory evolution as a `C` counter track split into the
