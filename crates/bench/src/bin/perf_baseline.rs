@@ -10,7 +10,10 @@
 //!    permutation and tree from scratch per cell; and (b) the current
 //!    way: [`sweep_cells`] over the shared artifact cache. The two must
 //!    agree peak-for-peak (asserted) — the speedup is pure scheduling
-//!    and reuse, not a change of results.
+//!    and reuse, not a change of results. The subset's total
+//!    `events_delivered`, a deterministic work counter, must equal the
+//!    previous `BENCH_sweep.json`'s exactly (asserted when the file
+//!    exists).
 //! 2. **event queue** — raw push/pop throughput of the simulator's
 //!    single-heap event queue.
 //! 3. **LU kernel + packed GEMM** — the blocked partial-LU front kernel
@@ -297,6 +300,8 @@ fn main() {
     let prior_lu: Vec<Option<(f64, f64)>> =
         [256usize, 512, 1024].iter().map(|&f| prior_lu_stats("BENCH_sweep.json", f)).collect();
     let prior_e2e_gflops = prior_json_number("BENCH_sweep.json", "e2e_gflops");
+    // The first "events_delivered" key is the sweep subset's.
+    let prior_events = prior_json_number("BENCH_sweep.json", "events_delivered");
 
     eprintln!("[1/7] sweep subset, {} cells, sequential + uncached ...", specs.len());
     let start = Instant::now();
@@ -644,6 +649,17 @@ fn main() {
     .unwrap();
     let events_delivered_total: u64 =
         fast.iter().flat_map(|c| [&c.baseline, &c.memory]).map(|r| r.events_delivered).sum();
+    // Exact work-counter guard: the subset's schedules are deterministic,
+    // so the events it delivers may only move with a deliberate change to
+    // the protocol (then regenerate the file and say why).
+    if let Some(prior) = prior_events {
+        assert_eq!(
+            events_delivered_total, prior as u64,
+            "sweep subset delivered {events_delivered_total} events, prior BENCH_sweep.json \
+             {prior}: the schedules changed"
+        );
+        eprintln!("events guard: {events_delivered_total} events delivered, equal to prior OK");
+    }
     writeln!(json, "    \"events_delivered\": {events_delivered_total}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"core_alloc\": {{").unwrap();

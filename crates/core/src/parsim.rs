@@ -24,6 +24,7 @@ use crate::proto::{
     initial_loads, Effect, Input, Migration, Msg, SchedulerCore, Violation, TIMER_SAMPLE,
 };
 use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
+use crate::views::StatusDelta;
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
     CompactEvent, CoreMetrics, Event, EventPayload, EventQueue, FaultInjector, MsgClass,
@@ -137,6 +138,30 @@ pub trait CoreHost {
         effect: impl FnMut(Effect),
     ) -> Option<Violation>;
 
+    /// Delivers status increment `d`, broadcast by `from`, to every core
+    /// in `0..nprocs` but `from`, in ascending order, at virtual time
+    /// `now`: one whole broadcast block. Passes each effect to `effect`
+    /// with the core that emitted it, in the order one
+    /// [`Self::handle`] per target would — which is what this default
+    /// does. A host that reaches its cores directly overrides it with a
+    /// tight loop over [`SchedulerCore::apply_status`].
+    fn deliver_status(
+        &mut self,
+        from: usize,
+        nprocs: usize,
+        now: Time,
+        d: StatusDelta,
+        mut effect: impl FnMut(usize, Effect),
+    ) -> Option<Violation> {
+        for p in (0..nprocs).filter(|&p| p != from) {
+            let input = Input::Deliver { from, msg: Msg::Status(d) };
+            if let Some(v) = self.handle(p, now, input, |e| effect(p, e)) {
+                return Some(v);
+            }
+        }
+        None
+    }
+
     /// Fronts core `p` has completed so far.
     fn nodes_done(&self, p: usize) -> usize;
 
@@ -200,6 +225,25 @@ impl CoreHost for Vec<SchedulerCore<'_>> {
         let core = &mut self[p];
         core.handle(now, input).for_each(effect);
         core.take_violation()
+    }
+
+    fn deliver_status(
+        &mut self,
+        from: usize,
+        nprocs: usize,
+        now: Time,
+        d: StatusDelta,
+        mut effect: impl FnMut(usize, Effect),
+    ) -> Option<Violation> {
+        debug_assert_eq!(nprocs, self.len(), "a block reaches the whole machine");
+        for (p, core) in self.iter_mut().enumerate() {
+            if p != from {
+                if let Some(ev) = core.apply_status(now, from, d) {
+                    effect(p, Effect::Record(ev));
+                }
+            }
+        }
+        None
     }
 
     fn nodes_done(&self, p: usize) -> usize {
@@ -273,6 +317,12 @@ struct SimDriver<'a, Q> {
     /// Sampled telemetry series; `None` = sampling disabled (the
     /// zero-cost path: cores never arm the sampling timer).
     ts: Option<RunTimeseries>,
+    /// Deliveries of the last popped entry not yet handed to a core (a
+    /// block being expanded target by target, or the entry the runaway
+    /// guard refused). The engine counted them delivered at the pop; the
+    /// driver reports them in flight, so counts match per-target
+    /// delivery whichever engine runs.
+    unprocessed: usize,
 }
 
 impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
@@ -301,7 +351,13 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
             ts: cfg
                 .sample_every
                 .map(|every| RunTimeseries::new(cfg.nprocs, every, DEFAULT_SERIES_CAPACITY)),
+            unprocessed: 0,
         }
+    }
+
+    /// Events handed to the cores so far.
+    fn delivered(&self) -> u64 {
+        self.sim.delivered() - self.unprocessed as u64
     }
 
     /// True once the fault model's network kill threshold was crossed.
@@ -447,15 +503,16 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
         }
         match host.handle(p, now, input, |e| self.perform(p, e)) {
             None => Ok(()),
-            Some(v) => {
-                let diag = self.diagnostics(host);
-                Err(match v {
-                    Violation::Accounting { proc, area } => {
-                        SimError::Accounting { proc, area, diag }
-                    }
-                    Violation::Protocol { detail } => SimError::Protocol { detail, diag },
-                })
-            }
+            Some(v) => Err(self.violation_error(host, v)),
+        }
+    }
+
+    /// The run-ending error for a violation a core flagged.
+    fn violation_error<H: CoreHost>(&self, host: &mut H, v: Violation) -> SimError {
+        let diag = self.diagnostics(host);
+        match v {
+            Violation::Accounting { proc, area } => SimError::Accounting { proc, area, diag },
+            Violation::Protocol { detail } => SimError::Protocol { detail, diag },
         }
     }
 
@@ -539,8 +596,8 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
         }
         Box::new(RunDiagnostics {
             now: self.sim.now(),
-            delivered_events: self.sim.delivered(),
-            in_flight: self.sim.pending(),
+            delivered_events: self.delivered(),
+            in_flight: self.sim.pending() + self.unprocessed,
             nodes_done: finals.iter().map(|f| f.nodes_done).sum(),
             total_nodes: self.n,
             dropped_messages: self.dropped(),
@@ -746,6 +803,120 @@ fn join_proc<Q: EventQueue<Msg>, H: CoreHost>(
     Ok(())
 }
 
+/// Hands one single delivery (a message or a timer) to its core: the
+/// membership prologue (scheduled kills and joins fire before the event
+/// they precede), quiescence accounting, dead/dormant filtering, the core
+/// step and death arbitration. Returns whether the run is complete.
+fn deliver_one<Q: EventQueue<Msg>, H: CoreHost>(
+    drv: &mut SimDriver<'_, Q>,
+    host: &mut H,
+    membership: &mut Option<Membership>,
+    tree: &AssemblyTree,
+    map: &StaticMapping,
+    at: Time,
+    payload: EventPayload<Msg>,
+) -> Result<bool, SimError> {
+    drv.unprocessed -= 1;
+    if let Some(ms) = membership.as_mut() {
+        // The fault schedule is keyed on delivered-event indices:
+        // scheduled kills and joins fire before the event they precede is
+        // processed.
+        ms.delivered += 1;
+        let idx = ms.delivered;
+        while let Some(d) = ms.take_due_kill(idx) {
+            kill_proc(drv, host, ms, d);
+        }
+        while let Some(q) = ms.take_due_join(idx) {
+            join_proc(drv, host, ms, tree, map, q)?;
+        }
+    }
+    // Quiescence accounting: everything except failure-detector chatter
+    // counts as a live event.
+    match &payload {
+        EventPayload::Message { msg, .. } if !matches!(msg, Msg::Heartbeat) => {
+            drv.live_events -= 1;
+        }
+        EventPayload::Timer { key, .. } if *key < TIMER_SAMPLE => drv.live_events -= 1,
+        _ => {}
+    }
+    let (p, input) = match payload {
+        EventPayload::Message { from, to, msg } => {
+            if let Some(ms) = membership.as_ref() {
+                if !ms.alive[from] || !ms.alive[to] {
+                    return Ok(false); // a dead endpoint: the message is lost
+                }
+                if !ms.joined[to] {
+                    drv.buffered[to].push((from, msg));
+                    return Ok(false); // parked until the join
+                }
+            }
+            (to, Input::Deliver { from, msg })
+        }
+        EventPayload::Timer { proc, key } => {
+            if let Some(ms) = membership.as_ref() {
+                if !ms.alive[proc] || !ms.joined[proc] {
+                    return Ok(false); // a dead processor's timers are void
+                }
+            }
+            (proc, Input::TimerFired { key })
+        }
+        EventPayload::Broadcast { .. } => unreachable!("blocks are unrolled before delivery"),
+    };
+    drv.step(host, p, at, input)?;
+    if let Some(ms) = membership.as_mut() {
+        if !drv.pending_dead.is_empty() {
+            process_deaths(drv, host, ms, tree)?;
+        }
+    } else {
+        debug_assert!(drv.pending_dead.is_empty(), "DeclareDead without recovery");
+    }
+    run_complete(drv, host, membership)
+}
+
+/// Per-event termination for runs whose timer chains never let the queue
+/// drain (membership, sampler); with recovery on it also runs the
+/// degradation ladder at quiescence. Returns whether the run is complete.
+fn run_complete<Q: EventQueue<Msg>, H: CoreHost>(
+    drv: &mut SimDriver<'_, Q>,
+    host: &mut H,
+    membership: &mut Option<Membership>,
+) -> Result<bool, SimError> {
+    let (cfg, n) = (drv.cfg, drv.n);
+    if let Some(ms) = membership.as_mut() {
+        // Membership-aware termination: with recovery configured the
+        // detector's timer chain never lets the queue drain, so
+        // completion is checked per event, over the survivors.
+        if survivors_done(host, Some(ms), cfg.nprocs) >= n {
+            // Keep draining in-flight live traffic so the final time
+            // matches the recovery-off run exactly; the detector stops
+            // re-arming and its chain dies out.
+            drv.finishing = true;
+            return Ok(drv.live_events == 0);
+        }
+        if drv.live_events == 0 && cfg.recovery.is_some() {
+            // Quiescent apart from detector chatter. Progress can still
+            // arrive from the fault schedule (indices keep advancing on
+            // detector events) or from a lease about to expire; otherwise
+            // this is the same situation as a drained queue — run the
+            // degradation ladder.
+            if ms.schedule_pending() || ms.undeclared_dead() || !drv.pending_dead.is_empty() {
+                return Ok(false);
+            }
+            force_one_deferred(drv, host, Some(ms))?;
+        }
+    } else if cfg.sample_every.is_some() && survivors_done(host, None, cfg.nprocs) >= n {
+        // Sampler-aware termination: without membership the sampler's
+        // self-re-arming timer chain never lets the queue drain, so
+        // completion is checked per event. Once every front is done the
+        // sampler stops re-arming (`finishing`) and the run breaks the
+        // moment the last live event is processed — the clock never
+        // advances past the sampler-off makespan.
+        drv.finishing = true;
+        return Ok(drv.live_events == 0);
+    }
+    Ok(false)
+}
+
 /// Runs the simulated parallel factorization.
 ///
 /// Never panics and never hangs: a no-progress state, a virtual-time
@@ -808,103 +979,45 @@ pub fn run_on<Q: EventQueue<Msg>, H: CoreHost>(
     }
     'run: loop {
         while let Some(Event { at, payload }) = drv.sim.pop() {
-            if let Some(ms) = membership.as_mut() {
-                // The fault schedule is keyed on delivered-event indices:
-                // scheduled kills and joins fire before the event they
-                // precede is processed.
-                ms.delivered += 1;
-                let idx = ms.delivered;
-                while let Some(d) = ms.take_due_kill(idx) {
-                    kill_proc(&mut drv, host, ms, d);
-                }
-                while let Some(q) = ms.take_due_join(idx) {
-                    join_proc(&mut drv, host, ms, tree, map, q)?;
-                }
-            }
-            // Quiescence accounting: everything except failure-detector
-            // chatter counts as a live event.
-            match &payload {
-                EventPayload::Message { msg, .. } if !matches!(msg, Msg::Heartbeat) => {
-                    drv.live_events -= 1;
-                }
-                EventPayload::Timer { key, .. } if *key < TIMER_SAMPLE => drv.live_events -= 1,
-                _ => {}
-            }
-            let (p, input) = match payload {
-                EventPayload::Message { from, to, msg } => {
-                    if let Some(ms) = membership.as_ref() {
-                        if !ms.alive[from] || !ms.alive[to] {
-                            continue; // a dead endpoint: the message is lost
-                        }
-                        if !ms.joined[to] {
-                            drv.buffered[to].push((from, msg));
-                            continue; // parked until the join
-                        }
-                    }
-                    (to, Input::Deliver { from, msg })
-                }
-                EventPayload::Timer { proc, key } => {
-                    if let Some(ms) = membership.as_ref() {
-                        if !ms.alive[proc] || !ms.joined[proc] {
-                            continue; // a dead processor's timers are void
-                        }
-                    }
-                    (proc, Input::TimerFired { key })
-                }
-            };
-            drv.step(host, p, at, input)?;
-            if let Some(ms) = membership.as_mut() {
-                if !drv.pending_dead.is_empty() {
-                    process_deaths(&mut drv, host, ms, tree)?;
-                }
-            } else {
-                debug_assert!(drv.pending_dead.is_empty(), "DeclareDead without recovery");
-            }
+            let deliveries = payload.deliveries();
+            drv.unprocessed = deliveries;
+            // Runaway guard, before anything of the entry is processed: a
+            // block trips it exactly where its first target would.
             if let Some(limit) = cfg.time_limit {
-                if drv.sim.now() > limit {
+                if at > limit {
                     return Err(SimError::TimeLimit { limit, diag: drv.diagnostics(host) });
                 }
             }
-            if let Some(ms) = membership.as_mut() {
-                // Membership-aware termination: with recovery configured
-                // the detector's timer chain never lets the queue drain,
-                // so completion is checked per event, over the survivors.
-                if survivors_done(host, Some(ms), cfg.nprocs) >= n {
-                    // Keep draining in-flight live traffic so the final
-                    // time matches the recovery-off run exactly; the
-                    // detector stops re-arming and its chain dies out.
-                    drv.finishing = true;
-                    if drv.live_events == 0 {
-                        break 'run;
-                    }
-                    continue;
-                }
-                if drv.live_events == 0 && cfg.recovery.is_some() {
-                    // Quiescent apart from detector chatter. Progress can
-                    // still arrive from the fault schedule (indices keep
-                    // advancing on detector events) or from a lease about
-                    // to expire; otherwise this is the same situation as
-                    // a drained queue — run the degradation ladder.
-                    if ms.schedule_pending() || ms.undeclared_dead() || !drv.pending_dead.is_empty()
+            let done = match payload {
+                // A quiet-run status block goes to the host whole.
+                EventPayload::Broadcast { from, nprocs, msg: Msg::Status(d) }
+                    if membership.is_none() =>
+                {
+                    drv.unprocessed = 0;
+                    drv.live_events -= deliveries as i64;
+                    if let Some(v) =
+                        host.deliver_status(from, nprocs, at, d, |p, e| drv.perform(p, e))
                     {
-                        continue;
+                        return Err(drv.violation_error(host, v));
                     }
-                    force_one_deferred(&mut drv, host, Some(ms))?;
+                    run_complete(&mut drv, host, &mut membership)?
                 }
-            } else if cfg.sample_every.is_some() {
-                // Sampler-aware termination: without membership the
-                // sampler's self-re-arming timer chain never lets the
-                // queue drain, so completion is checked per event. Once
-                // every front is done the sampler stops re-arming
-                // (`finishing`) and the run breaks the moment the last
-                // live event is processed — the clock never advances
-                // past the sampler-off makespan.
-                if survivors_done(host, None, cfg.nprocs) >= n {
-                    drv.finishing = true;
-                    if drv.live_events == 0 {
-                        break 'run;
+                // Everything else one delivery at a time; a membership run
+                // expands its blocks, because kills and joins are keyed on
+                // delivered-event indices.
+                payload => {
+                    let mut done = false;
+                    for one in payload.unroll() {
+                        done = deliver_one(&mut drv, host, &mut membership, tree, map, at, one)?;
+                        if done {
+                            break;
+                        }
                     }
+                    done
                 }
+            };
+            if done {
+                break 'run;
             }
         }
         // The queue drained (the recovery-off path — with recovery on it
@@ -939,6 +1052,7 @@ pub fn run_on<Q: EventQueue<Msg>, H: CoreHost>(
     let max_peak = peaks.iter().copied().max().unwrap_or(0);
     let avg_peak = peaks.iter().sum::<u64>() as f64 / peaks.len().max(1) as f64;
     let dropped_messages = drv.dropped();
+    let events_delivered = drv.delivered();
     let mut metrics = drv.metrics;
     for (p, f) in finals.iter().enumerate() {
         metrics.merge_core(p, &f.metrics);
@@ -955,7 +1069,7 @@ pub fn run_on<Q: EventQueue<Msg>, H: CoreHost>(
         avg_peak,
         makespan: drv.sim.now().max(disk_end),
         messages: drv.messages,
-        events_delivered: drv.sim.delivered(),
+        events_delivered,
         traces: cfg.record_traces.then(|| {
             finals.iter().map(|f| f.memory.trace().cloned().unwrap_or_default()).collect()
         }),

@@ -603,6 +603,30 @@ impl<'a> SchedulerCore<'a> {
         self.out.drain(..)
     }
 
+    /// Applies status increment `d` that `from` broadcast, delivered at
+    /// `now`: sets the clock, renews `from`'s lease and refreshes one
+    /// view slot. Returns the `status_apply` record when recording is on
+    /// (the only effect a status delivery has; it never flags a
+    /// violation). [`Self::handle`] runs it for every delivered status
+    /// message; a host applying a whole broadcast block calls it once per
+    /// target instead, without the generic dispatch and effect drain.
+    pub fn apply_status(&mut self, now: Time, from: usize, d: StatusDelta) -> Option<CompactEvent> {
+        self.now = now;
+        let to = self.id;
+        if from != to {
+            self.last_heard[from] = now;
+        }
+        // One-slot coherence update. The subject is the sender except for
+        // Assigned, which describes the enrolled slave — and the slave
+        // itself skips it: its self-view is exact.
+        let about = d.about(from);
+        if about == to {
+            return None;
+        }
+        let age = self.views.apply(about, d, now);
+        self.record.then(|| CompactEvent::status_apply(to, from, about, d.kind().0, age))
+    }
+
     // ---------- driver-facing accessors ----------
 
     /// This core's processor id.
@@ -1827,15 +1851,8 @@ impl<'a> SchedulerCore<'a> {
                 self.try_start();
             }
             Msg::Status(d) => {
-                // One-slot coherence update. The subject is the sender
-                // except for Assigned, which describes the enrolled
-                // slave — and the slave itself skips it: its self-view
-                // is exact.
-                let about = d.about(from);
-                if about != to {
-                    let age = self.views.apply(about, d, self.now);
-                    let (kind, _) = d.kind();
-                    self.emit_record(|| CompactEvent::status_apply(to, from, about, kind, age));
+                if let Some(ev) = self.apply_status(self.now, from, d) {
+                    self.out.push(Effect::Record(ev));
                 }
             }
             Msg::ChildStarted { node } => {

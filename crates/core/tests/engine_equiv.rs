@@ -6,19 +6,22 @@
 //!
 //! * **Raw queue order** — for arbitrary interleavings of point-to-point
 //!   messages, timers, and broadcasts, the two engines pop the exact same
-//!   event sequence. Bit-equality is the strongest legal tie-break of the
-//!   `(time, insertion order)` contract: every FIFO tie resolves the same
-//!   way on both.
+//!   event sequence once each broadcast block the lanes pop whole is
+//!   unrolled into its per-target messages. Bit-equality is the strongest
+//!   legal tie-break of the `(time, insertion order)` contract: every FIFO
+//!   tie resolves the same way on both.
 //! * **Whole runs** — [`parsim::run`] (lanes) and [`parsim::run_reference`]
 //!   (single heap) produce identical `RunResult`s field for field — peaks,
 //!   makespan, traffic, metrics, recordings, digests — across random
-//!   strategies, perturbation seeds, and kill/join schedules.
+//!   strategies, perturbation seeds, and kill/join schedules. The lanes
+//!   hand each status block to the cores in one call, the reference one
+//!   message at a time, so this also checks the block path.
 
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_order::OrderingKind;
-use mf_sim::engine::{EventPayload, Sim, SingleHeapSim};
+use mf_sim::engine::{Event, EventPayload, Sim, SingleHeapSim};
 use mf_sim::FaultModel;
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
@@ -110,21 +113,26 @@ proptest! {
         let mut drained = 0u64;
         let mut pending_ops: Vec<Op> = ops.iter().rev().copied().collect();
         loop {
+            // Block boundaries: both engines count every target.
             prop_assert_eq!(lanes.pending(), heap.pending());
-            let (a, b) = (lanes.next(), heap.next());
-            prop_assert_eq!(&a, &b);
-            if a.is_none() {
-                break;
-            }
-            drained += 1;
-            // Reactive pushes while draining (also mid-broadcast): the
-            // merge front must stay coherent under interleaved updates.
-            if drained % 7 < reschedule_each {
-                if let Some(op) = pending_ops.pop() {
-                    apply_op(op, nprocs, &mut lanes, &mut heap, 10_000 + drained);
+            prop_assert_eq!(lanes.delivered(), heap.delivered());
+            let Some(Event { at, payload }) = lanes.next() else { break };
+            // A block pops whole on the lanes; its ascending per-target
+            // messages are the heap's next pops.
+            for one in payload.unroll() {
+                let b = heap.next();
+                prop_assert_eq!(Some(Event { at, payload: one }), b);
+                drained += 1;
+                // Reactive pushes while draining (also mid-broadcast): the
+                // merge front must stay coherent under interleaved updates.
+                if drained % 7 < reschedule_each {
+                    if let Some(op) = pending_ops.pop() {
+                        apply_op(op, nprocs, &mut lanes, &mut heap, 10_000 + drained);
+                    }
                 }
             }
         }
+        prop_assert_eq!(heap.next(), None);
         prop_assert_eq!(lanes.delivered(), heap.delivered());
         prop_assert_eq!(lanes.now(), heap.now());
     }
@@ -235,5 +243,59 @@ fn sampled_runs_identical_across_engines() {
         let a = parsim::run(&tree, &map, &cfg).unwrap();
         let b = parsim::run_reference(&tree, &map, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+}
+
+/// Whole runs at machine sizes where status blocks dominate the event
+/// stream (the properties above stop below 9 processors): quiet, recorded
+/// and sampled, every strategy, on a larger grid.
+#[test]
+fn large_machine_runs_identical_across_engines() {
+    let tree = tree_for(40);
+    for nprocs in [32, 64] {
+        for strategy in 0..3 {
+            let cfg0 = strategy_cfg(strategy, nprocs);
+            let map = compute_mapping(&tree, &cfg0);
+            for cfg in [
+                cfg0.clone(),
+                SolverConfig { record_events: true, ..cfg0.clone() },
+                SolverConfig { sample_every: Some(500), ..cfg0.clone() },
+            ] {
+                let a = parsim::run(&tree, &map, &cfg).unwrap();
+                let b = parsim::run_reference(&tree, &map, &cfg).unwrap();
+                assert_eq!(a, b, "nprocs {nprocs} strategy {strategy}");
+            }
+        }
+    }
+}
+
+/// The runaway guard trips at the same point on both engines when the
+/// first event past the limit is a status block: the lanes pop it whole,
+/// the reference pops its first target, and neither hands anything of it
+/// to a core — same error, same diagnostic counts. The limits sweep the
+/// instants just before status deliveries, so many of them land on a
+/// block.
+#[test]
+fn time_limit_on_a_broadcast_trips_identically() {
+    let tree = tree_for(14);
+    let cfg0 = strategy_cfg(1, 6);
+    let map = compute_mapping(&tree, &cfg0);
+    let recorded =
+        parsim::run(&tree, &map, &SolverConfig { record_events: true, ..cfg0.clone() }).unwrap();
+    let mut applies: Vec<u64> = recorded
+        .recording
+        .unwrap()
+        .events()
+        .filter(|te| matches!(te.ev, mf_sim::EventRef::StatusApply { .. }))
+        .map(|te| te.at)
+        .collect();
+    applies.dedup();
+    assert!(applies.len() > 10, "{} status instants", applies.len());
+    for &at in &applies {
+        let cfg = SolverConfig { time_limit: Some(at - 1), ..cfg0.clone() };
+        let a = parsim::run(&tree, &map, &cfg).unwrap_err();
+        let b = parsim::run_reference(&tree, &map, &cfg).unwrap_err();
+        assert!(matches!(a, mf_core::SimError::TimeLimit { .. }), "{a:?}");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "limit {}", at - 1);
     }
 }

@@ -111,11 +111,16 @@ fn drive(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Captur
         step(core, &mut sim, cfg, 0, Input::Tick, &mut effects);
     }
     while let Some(Event { at, payload }) = sim.next() {
-        let (p, input) = match payload {
-            EventPayload::Message { from, to, msg } => (to, Input::Deliver { from, msg }),
-            EventPayload::Timer { proc, key } => (proc, Input::TimerFired { key }),
-        };
-        step(&mut cores[p], &mut sim, cfg, at, input, &mut effects);
+        // A broadcast block reaches its targets one delivery each, in
+        // ascending order.
+        for one in payload.unroll() {
+            let (p, input) = match one {
+                EventPayload::Message { from, to, msg } => (to, Input::Deliver { from, msg }),
+                EventPayload::Timer { proc, key } => (proc, Input::TimerFired { key }),
+                EventPayload::Broadcast { .. } => unreachable!("unrolled above"),
+            };
+            step(&mut cores[p], &mut sim, cfg, at, input, &mut effects);
+        }
     }
     Captured {
         effects,

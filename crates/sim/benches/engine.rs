@@ -11,8 +11,8 @@
 //!   to a pseudo-random processor (the compute/completion traffic);
 //! * **broadcast-heavy**: every 16th delivery schedules a broadcast from
 //!   the delivering processor instead (the status-coherence traffic —
-//!   one logical event fanning out to P-1 deliveries on the lane engine,
-//!   P-1 heap entries on the reference).
+//!   one block event standing for P-1 deliveries on the lane engine, P-1
+//!   heap entries on the reference).
 //!
 //! Throughput is reported per *delivered* event, so the broadcast mix
 //! measures the fan-out cost, not just the schedule cost.
@@ -45,20 +45,26 @@ fn drive<Q: EventQueue<u64>>(mut sim: Q, nprocs: usize, events: u64, bcast_every
     let mut owed = 0u64;
     while delivered < events {
         let e = sim.pop().expect("queue kept live");
-        delivered += 1;
-        acc = acc.wrapping_add(e.at);
-        let from = match e.payload {
-            EventPayload::Message { to, .. } => to,
-            EventPayload::Timer { proc, .. } => proc,
-        };
-        if owed > 0 {
-            owed -= 1;
-        } else if bcast_every > 0 && delivered.is_multiple_of(bcast_every) && nprocs > 1 {
-            sim.schedule_broadcast(lcg(&mut rng) % 1024, from, nprocs, delivered);
-            owed = nprocs as u64 - 2;
-        } else {
-            let to = lcg(&mut rng) as usize % nprocs;
-            sim.schedule(lcg(&mut rng) % 1024, EventPayload::Message { from, to, msg: delivered });
+        // A block pops whole on the lane engine; each of its targets is
+        // one delivery, exactly as on the reference heap.
+        for p in e.payload.unroll() {
+            delivered += 1;
+            acc = acc.wrapping_add(e.at);
+            let from = match p {
+                EventPayload::Message { to, .. } => to,
+                EventPayload::Timer { proc, .. } => proc,
+                EventPayload::Broadcast { from, .. } => from,
+            };
+            if owed > 0 {
+                owed -= 1;
+            } else if bcast_every > 0 && delivered.is_multiple_of(bcast_every) && nprocs > 1 {
+                sim.schedule_broadcast(lcg(&mut rng) % 1024, from, nprocs, delivered);
+                owed = nprocs as u64 - 2;
+            } else {
+                let to = lcg(&mut rng) as usize % nprocs;
+                let msg = EventPayload::Message { from, to, msg: delivered };
+                sim.schedule(lcg(&mut rng) % 1024, msg);
+            }
         }
     }
     acc

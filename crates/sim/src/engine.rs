@@ -8,15 +8,22 @@
 //!   small binary heap per destination processor) joined by a *merge
 //!   front* (an indexed k-way min-heap over the lane heads), with event
 //!   payloads parked in a slot arena so the steady state allocates
-//!   nothing. A broadcast stays ONE logical entry fanned out lazily at
-//!   delivery. Built for 1000+-processor sweeps where a single global
-//!   heap of depth `O(total events)` dominates the run time.
+//!   nothing. A broadcast stays ONE entry from schedule to delivery: `pop`
+//!   hands the whole block to the caller as one
+//!   [`EventPayload::Broadcast`] event, and the caller applies it to every
+//!   target. Built for 1000+-processor sweeps where a single global heap
+//!   of depth `O(total events)` and a per-target event per status
+//!   delivery dominate the run time.
 //! * [`SingleHeapSim`] — the historical single global binary heap, kept
 //!   as the differential-testing reference and microbenchmark baseline.
+//!   It schedules a broadcast as its per-target messages, so it never
+//!   yields a block.
 //!
 //! Both engines pop the globally smallest `(time, seq)` pair, so their
-//! event sequences are bit-identical — the property the engine-equivalence
-//! proptests in `mf-core` and the `engine` criterion bench both lean on.
+//! event sequences are bit-identical once each block is unrolled into its
+//! ascending per-target messages ([`EventPayload::unroll`]) — the
+//! property the engine-equivalence proptests in `mf-core` and the
+//! `engine` criterion bench both lean on.
 
 use std::collections::BinaryHeap;
 
@@ -44,6 +51,48 @@ pub enum EventPayload<M> {
         /// Caller-defined discriminator.
         key: u64,
     },
+    /// A broadcast block: `msg` delivered to every processor in
+    /// `0..nprocs` except `from`, all at one instant, in ascending target
+    /// order. Stands for exactly the `Message`s [`EventPayload::unroll`]
+    /// yields: their sequence numbers would be contiguous at a single
+    /// firing time, so no other event can interleave them.
+    Broadcast {
+        /// Sending processor.
+        from: usize,
+        /// Machine size; every processor below it but `from` receives.
+        nprocs: usize,
+        /// Payload, shared by every target.
+        msg: M,
+    },
+}
+
+impl<M> EventPayload<M> {
+    /// Deliveries this payload stands for: a block's target count, 1 for
+    /// anything else.
+    pub fn deliveries(&self) -> usize {
+        match self {
+            EventPayload::Broadcast { from, nprocs, .. } => nprocs - usize::from(from < nprocs),
+            _ => 1,
+        }
+    }
+}
+
+impl<M: Clone> EventPayload<M> {
+    /// The per-target payloads this one stands for: a block's messages in
+    /// ascending target order, anything else itself.
+    pub fn unroll(self) -> impl Iterator<Item = EventPayload<M>> {
+        let (one, block) = match self {
+            EventPayload::Broadcast { from, nprocs, msg } => (None, Some((from, nprocs, msg))),
+            p => (Some(p), None),
+        };
+        one.into_iter().chain(block.into_iter().flat_map(|(from, nprocs, msg)| {
+            (0..nprocs).filter(move |&to| to != from).map(move |to| EventPayload::Message {
+                from,
+                to,
+                msg: msg.clone(),
+            })
+        }))
+    }
 }
 
 /// A fired event: when plus what.
@@ -67,8 +116,8 @@ pub trait EventQueue<M: Clone> {
     fn now(&self) -> Time;
     /// Number of events delivered so far.
     fn delivered(&self) -> u64;
-    /// Number of pending events (counting every undelivered message of a
-    /// broadcast block individually).
+    /// Number of pending events (counting every target of a broadcast
+    /// block individually).
     fn pending(&self) -> usize;
     /// Schedules `payload` to fire `delay` ticks from now.
     fn schedule(&mut self, delay: Time, payload: EventPayload<M>);
@@ -76,70 +125,19 @@ pub trait EventQueue<M: Clone> {
     fn schedule_timer(&mut self, proc: usize, delay: Time, key: u64) {
         self.schedule(delay, EventPayload::Timer { proc, key });
     }
-    /// Schedules delivery of clones of `msg` from `from` to every other
-    /// processor in `0..nprocs`, `delay` ticks from now. Exactly
-    /// equivalent to `nprocs - 1` back-to-back [`EventQueue::schedule`]
-    /// calls of `Message` payloads — same firing time, same
-    /// ascending-target FIFO order against every other event — but a
-    /// single queue entry.
-    fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M);
-    /// Pops the earliest pending event, advancing the clock to its firing
-    /// time. `None` when the queue is empty — schedule more events and
-    /// popping resumes.
-    fn pop(&mut self) -> Option<Event<M>>;
-}
-
-/// What one queue entry delivers: a single event, or a whole broadcast
-/// block (the same message to every processor but the sender, all at one
-/// instant). A broadcast's per-target messages would occupy contiguous
-/// sequence numbers at a single firing time, so no other event can ever
-/// interleave them — storing the block as ONE entry and unrolling it at
-/// delivery keeps the event sequence bit-identical while cutting the
-/// queue traffic of an n-processor broadcast from n-1 sifts to one.
-#[derive(Debug)]
-enum Queued<M> {
-    One(EventPayload<M>),
-    Broadcast { from: usize, nprocs: usize, msg: M },
-}
-
-/// An in-progress broadcast block: delivers `msg` to each `to` in
-/// `0..nprocs` except `from`, in ascending order, before the queue pops
-/// anything else (see [`Queued`] for why that order is exact).
-#[derive(Debug)]
-struct ActiveBroadcast<M> {
-    at: Time,
-    from: usize,
-    nprocs: usize,
-    next: usize,
-    msg: M,
-}
-
-impl<M: Clone> ActiveBroadcast<M> {
-    /// Yields the next delivery of the block, or `None` when drained.
-    /// Returns the message by move on the last delivery (no clone).
-    fn next_delivery(mut self) -> Option<(Event<M>, Option<Self>)> {
-        if self.next == self.from {
-            self.next += 1;
-        }
-        if self.next >= self.nprocs {
-            return None;
-        }
-        let to = self.next;
-        self.next += 1;
-        let (at, from) = (self.at, self.from);
-        let (msg, rest) = if broadcast_targets(self.from, self.nprocs, self.next) == 0 {
-            (self.msg, None)
-        } else {
-            (self.msg.clone(), Some(self))
-        };
-        Some((Event { at, payload: EventPayload::Message { from, to, msg } }, rest))
+    /// Schedules delivery of `msg` from `from` to every other processor
+    /// in `0..nprocs`, `delay` ticks from now. Exactly equivalent to
+    /// `nprocs - 1` back-to-back [`EventQueue::schedule`] calls of
+    /// `Message` payloads — same firing time, same ascending-target FIFO
+    /// order against every other event. A block with no target schedules
+    /// nothing.
+    fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
+        self.schedule(delay, EventPayload::Broadcast { from, nprocs, msg });
     }
-}
-
-/// Number of undelivered targets of a broadcast block whose scan is at
-/// position `next`: the members of `next..nprocs` minus the sender.
-fn broadcast_targets(from: usize, nprocs: usize, next: usize) -> usize {
-    (nprocs.saturating_sub(next)) - usize::from(from >= next && from < nprocs)
+    /// Pops the earliest pending event, advancing the clock to its firing
+    /// time; a popped block counts as delivered to all its targets. `None`
+    /// when the queue is empty — schedule more events and popping resumes.
+    fn pop(&mut self) -> Option<Event<M>>;
 }
 
 // ---------------------------------------------------------------------------
@@ -197,11 +195,9 @@ pub struct Sim<M> {
     /// Position of each lane in `front` (`ABSENT` when the lane is empty).
     pos: Vec<u32>,
     /// Payload arena; `LaneEntry::slot` indexes into it.
-    slots: Vec<Option<Queued<M>>>,
+    slots: Vec<Option<EventPayload<M>>>,
     /// Recycled arena slots.
     free: Vec<u32>,
-    /// Broadcast block currently being unrolled.
-    bcast: Option<ActiveBroadcast<M>>,
 }
 
 impl<M> Default for Sim<M> {
@@ -229,7 +225,6 @@ impl<M> Sim<M> {
             pos: vec![ABSENT; nprocs],
             slots: Vec::new(),
             free: Vec::new(),
-            bcast: None,
         }
     }
 
@@ -243,24 +238,30 @@ impl<M> Sim<M> {
         self.delivered
     }
 
-    /// Number of pending events (counting every undelivered message of a
-    /// broadcast block individually).
+    /// Number of pending events (counting every target of a broadcast
+    /// block individually).
     pub fn pending(&self) -> usize {
         self.pending
     }
 
-    /// Schedules `payload` to fire `delay` ticks from now.
+    /// Schedules `payload` to fire `delay` ticks from now. A broadcast
+    /// block stays one entry, queued on the sender's lane.
     pub fn schedule(&mut self, delay: Time, payload: EventPayload<M>) {
         let lane = match &payload {
             EventPayload::Message { to, .. } => *to,
             EventPayload::Timer { proc, .. } => *proc,
+            EventPayload::Broadcast { from, .. } => *from,
         };
+        let deliveries = payload.deliveries();
+        if deliveries == 0 {
+            return;
+        }
         let at = self.now + delay;
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.alloc_slot(Queued::One(payload));
+        let slot = self.alloc_slot(payload);
         self.lane_push(lane, LaneEntry { at, seq, slot });
-        self.pending += 1;
+        self.pending += deliveries;
     }
 
     /// Schedules a timer on `proc` after `delay`.
@@ -270,20 +271,11 @@ impl<M> Sim<M> {
 
     /// Schedules a broadcast block (see [`EventQueue::schedule_broadcast`]).
     pub fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
-        let targets = broadcast_targets(from, nprocs, 0);
-        if targets == 0 {
-            return;
-        }
-        let at = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.alloc_slot(Queued::Broadcast { from, nprocs, msg });
-        self.lane_push(from, LaneEntry { at, seq, slot });
-        self.pending += targets;
+        self.schedule(delay, EventPayload::Broadcast { from, nprocs, msg });
     }
 
     #[inline]
-    fn alloc_slot(&mut self, q: Queued<M>) -> u32 {
+    fn alloc_slot(&mut self, q: EventPayload<M>) -> u32 {
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(q);
@@ -407,7 +399,7 @@ impl<M> Sim<M> {
     /// Pops the globally earliest entry: the head of the front's root
     /// lane (the k-way-merge step). Restores the front invariant for the
     /// popped lane (re-sink on a later head, removal on empty).
-    fn pop_earliest(&mut self) -> Option<(Time, Queued<M>)> {
+    fn pop_earliest(&mut self) -> Option<(Time, EventPayload<M>)> {
         let lane = *self.front.first()?;
         let e = self.lane_pop(lane as usize);
         if self.lanes[lane as usize].is_empty() {
@@ -429,45 +421,20 @@ impl<M> Sim<M> {
     }
 }
 
-impl<M: Clone> Sim<M> {
-    /// Delivers the next message of the active broadcast block, if any.
-    fn next_broadcast_delivery(&mut self) -> Option<Event<M>> {
-        let b = self.bcast.take()?;
-        let (ev, rest) = b.next_delivery()?;
-        self.bcast = rest;
-        self.delivered += 1;
-        self.pending -= 1;
-        Some(ev)
-    }
-}
-
 /// Draining iteration: each `next()` pops the earliest pending event,
 /// advancing the clock to its firing time. Yields `None` when the queue
 /// is empty — schedule more events and iteration resumes.
-impl<M: Clone> Iterator for Sim<M> {
+impl<M> Iterator for Sim<M> {
     type Item = Event<M>;
 
     fn next(&mut self) -> Option<Event<M>> {
-        loop {
-            if let Some(e) = self.next_broadcast_delivery() {
-                return Some(e);
-            }
-            let (at, payload) = self.pop_earliest()?;
-            debug_assert!(at >= self.now, "time cannot run backwards");
-            self.now = at;
-            match payload {
-                Queued::One(p) => {
-                    self.delivered += 1;
-                    self.pending -= 1;
-                    return Some(Event { at, payload: p });
-                }
-                Queued::Broadcast { from, nprocs, msg } => {
-                    // Unrolled by next_broadcast_delivery on the next
-                    // loop iteration.
-                    self.bcast = Some(ActiveBroadcast { at, from, nprocs, next: 0, msg });
-                }
-            }
-        }
+        let (at, payload) = self.pop_earliest()?;
+        debug_assert!(at >= self.now, "time cannot run backwards");
+        self.now = at;
+        let deliveries = payload.deliveries();
+        self.delivered += deliveries as u64;
+        self.pending -= deliveries;
+        Some(Event { at, payload })
     }
 }
 
@@ -483,9 +450,6 @@ impl<M: Clone> EventQueue<M> for Sim<M> {
     }
     fn schedule(&mut self, delay: Time, payload: EventPayload<M>) {
         Sim::schedule(self, delay, payload)
-    }
-    fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
-        Sim::schedule_broadcast(self, delay, from, nprocs, msg)
     }
     fn pop(&mut self) -> Option<Event<M>> {
         self.next()
@@ -504,7 +468,7 @@ impl<M: Clone> EventQueue<M> for Sim<M> {
 struct HeapEntry<M> {
     at: Time,
     seq: u64,
-    payload: Queued<M>,
+    payload: EventPayload<M>,
 }
 
 impl<M> PartialEq for HeapEntry<M> {
@@ -530,15 +494,16 @@ impl<M> Ord for HeapEntry<M> {
 
 /// The historical single-global-heap engine, kept as the
 /// differential-testing reference: same API, same delivery contract,
-/// `O(log total-events)` per operation. The engine-equivalence proptests
-/// assert [`Sim`] reproduces its event sequence bit for bit; the `engine`
+/// `O(log total-events)` per operation. A broadcast is scheduled as its
+/// per-target messages, one heap entry each, so every pop is a single
+/// delivery. The engine-equivalence proptests assert [`Sim`] reproduces
+/// its event sequence bit for bit once blocks are unrolled; the `engine`
 /// criterion bench measures what the lanes buy at high processor counts.
 #[derive(Debug)]
 pub struct SingleHeapSim<M> {
     now: Time,
     seq: u64,
     queue: BinaryHeap<HeapEntry<M>>,
-    bcast: Option<ActiveBroadcast<M>>,
     delivered: u64,
 }
 
@@ -551,7 +516,7 @@ impl<M> Default for SingleHeapSim<M> {
 impl<M> SingleHeapSim<M> {
     /// Empty queue at time zero.
     pub fn new() -> Self {
-        SingleHeapSim { now: 0, seq: 0, queue: BinaryHeap::new(), bcast: None, delivered: 0 }
+        SingleHeapSim { now: 0, seq: 0, queue: BinaryHeap::new(), delivered: 0 }
     }
 
     /// Current virtual time.
@@ -564,28 +529,22 @@ impl<M> SingleHeapSim<M> {
         self.delivered
     }
 
-    /// Number of pending events (counting every undelivered message of a
-    /// broadcast block individually).
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
-        let queued: usize = self
-            .queue
-            .iter()
-            .map(|e| match &e.payload {
-                Queued::One(_) => 1,
-                Queued::Broadcast { from, nprocs, .. } => broadcast_targets(*from, *nprocs, 0),
-            })
-            .sum();
-        let draining =
-            self.bcast.as_ref().map_or(0, |b| broadcast_targets(b.from, b.nprocs, b.next));
-        queued + draining
+        self.queue.len()
     }
+}
 
-    /// Schedules `payload` to fire `delay` ticks from now.
+impl<M: Clone> SingleHeapSim<M> {
+    /// Schedules `payload` to fire `delay` ticks from now; a broadcast
+    /// block as its per-target messages, in ascending target order.
     pub fn schedule(&mut self, delay: Time, payload: EventPayload<M>) {
         let at = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(HeapEntry { at, seq, payload: Queued::One(payload) });
+        for payload in payload.unroll() {
+            let seq = self.seq;
+            self.seq += 1;
+            self.queue.push(HeapEntry { at, seq, payload });
+        }
     }
 
     /// Schedules a timer on `proc` after `delay`.
@@ -593,51 +552,22 @@ impl<M> SingleHeapSim<M> {
         self.schedule(delay, EventPayload::Timer { proc, key });
     }
 
-    /// Schedules a broadcast block (see [`EventQueue::schedule_broadcast`]).
+    /// Schedules a broadcast (see [`EventQueue::schedule_broadcast`]).
     pub fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
-        if broadcast_targets(from, nprocs, 0) == 0 {
-            return;
-        }
-        let at = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(HeapEntry { at, seq, payload: Queued::Broadcast { from, nprocs, msg } });
-    }
-}
-
-impl<M: Clone> SingleHeapSim<M> {
-    /// Delivers the next message of the active broadcast block, if any.
-    fn next_broadcast_delivery(&mut self) -> Option<Event<M>> {
-        let b = self.bcast.take()?;
-        let (ev, rest) = b.next_delivery()?;
-        self.bcast = rest;
-        self.delivered += 1;
-        Some(ev)
+        self.schedule(delay, EventPayload::Broadcast { from, nprocs, msg });
     }
 }
 
 /// Draining iteration, identical contract to [`Sim`]'s.
-impl<M: Clone> Iterator for SingleHeapSim<M> {
+impl<M> Iterator for SingleHeapSim<M> {
     type Item = Event<M>;
 
     fn next(&mut self) -> Option<Event<M>> {
-        loop {
-            if let Some(e) = self.next_broadcast_delivery() {
-                return Some(e);
-            }
-            let HeapEntry { at, payload, .. } = self.queue.pop()?;
-            debug_assert!(at >= self.now, "time cannot run backwards");
-            self.now = at;
-            match payload {
-                Queued::One(p) => {
-                    self.delivered += 1;
-                    return Some(Event { at, payload: p });
-                }
-                Queued::Broadcast { from, nprocs, msg } => {
-                    self.bcast = Some(ActiveBroadcast { at, from, nprocs, next: 0, msg });
-                }
-            }
-        }
+        let HeapEntry { at, payload, .. } = self.queue.pop()?;
+        debug_assert!(at >= self.now, "time cannot run backwards");
+        self.now = at;
+        self.delivered += 1;
+        Some(Event { at, payload })
     }
 }
 
@@ -654,9 +584,6 @@ impl<M: Clone> EventQueue<M> for SingleHeapSim<M> {
     fn schedule(&mut self, delay: Time, payload: EventPayload<M>) {
         SingleHeapSim::schedule(self, delay, payload)
     }
-    fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
-        SingleHeapSim::schedule_broadcast(self, delay, from, nprocs, msg)
-    }
     fn pop(&mut self) -> Option<Event<M>> {
         self.next()
     }
@@ -665,6 +592,13 @@ impl<M: Clone> EventQueue<M> for SingleHeapSim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-target events a popped event stands for (a block's
+    /// messages, ascending; anything else itself).
+    fn unrolled<M: Clone>(ev: Event<M>) -> impl Iterator<Item = Event<M>> {
+        let at = ev.at;
+        ev.payload.unroll().map(move |payload| Event { at, payload })
+    }
 
     #[test]
     fn events_fire_in_time_order() {
@@ -739,9 +673,10 @@ mod tests {
 
     #[test]
     fn broadcast_matches_per_message_schedules_exactly() {
-        // The broadcast fast path must produce the same event sequence as
-        // the per-target schedule loop it replaces, including FIFO
-        // interleaving with other events at the same instant.
+        // The broadcast block, unrolled, must be the same event sequence
+        // as the per-target schedule loop it replaces, including FIFO
+        // interleaving with other events at the same instant; the
+        // counters agree at every block boundary.
         let mut a: Sim<u32> = Sim::new();
         let mut b: Sim<u32> = Sim::new();
         a.schedule(5, EventPayload::Timer { proc: 9, key: 0 });
@@ -754,15 +689,18 @@ mod tests {
         b.schedule_broadcast(5, 1, 4, 7);
         a.schedule(5, EventPayload::Timer { proc: 9, key: 1 });
         b.schedule(5, EventPayload::Timer { proc: 9, key: 1 });
-        assert_eq!(a.pending(), b.pending());
+        let mut blocks = 0;
         loop {
-            let (ea, eb) = (a.next(), b.next());
-            assert_eq!(ea, eb);
-            if ea.is_none() {
-                break;
+            assert_eq!(a.pending(), b.pending());
+            assert_eq!(a.delivered(), b.delivered());
+            let Some(eb) = b.next() else { break };
+            blocks += usize::from(matches!(eb.payload, EventPayload::Broadcast { .. }));
+            for target in unrolled(eb) {
+                assert_eq!(a.next(), Some(target));
             }
         }
-        assert_eq!(a.delivered(), b.delivered());
+        assert_eq!(a.next(), None);
+        assert_eq!(blocks, 1, "the broadcast pops as one block");
     }
 
     #[test]
@@ -775,17 +713,29 @@ mod tests {
 
     #[test]
     fn events_scheduled_during_broadcast_drain_come_after_the_block() {
+        // Both engines, same sequence: a block pops whole on the lanes and
+        // per target on the reference heap.
         let mut sim: Sim<u32> = Sim::new();
+        let mut heap: SingleHeapSim<u32> = SingleHeapSim::new();
         sim.schedule_broadcast(2, 0, 3, 5);
-        let first = sim.next().unwrap();
+        heap.schedule_broadcast(2, 0, 3, 5);
+        let block = sim.next().unwrap();
+        assert_eq!((sim.delivered(), sim.pending()), (2, 0), "a block delivers all its targets");
+        let mut targets = unrolled(block);
+        let first = targets.next().unwrap();
         assert_eq!(first.payload, EventPayload::Message { from: 0, to: 1, msg: 5 });
+        assert_eq!(heap.next(), Some(first));
         // Scheduling at delay 0 lands at the same instant but AFTER the
         // remaining block messages, as its seq would be larger.
         sim.schedule(0, EventPayload::Timer { proc: 7, key: 1 });
-        let second = sim.next().unwrap();
+        heap.schedule(0, EventPayload::Timer { proc: 7, key: 1 });
+        let second = targets.next().unwrap();
         assert_eq!(second.payload, EventPayload::Message { from: 0, to: 2, msg: 5 });
+        assert_eq!(heap.next(), Some(second));
+        assert!(targets.next().is_none());
         let third = sim.next().unwrap();
         assert_eq!(third.payload, EventPayload::Timer { proc: 7, key: 1 });
+        assert_eq!(heap.next(), Some(third));
     }
 
     #[test]
@@ -862,21 +812,33 @@ mod tests {
             }
             let mut drained = 0u64;
             loop {
+                // Block boundaries: the counters agree.
                 assert_eq!(lanes.pending(), heap.pending(), "seed {seed}");
-                let (a, b) = (lanes.next(), heap.next());
-                assert_eq!(a, b, "seed {seed} diverged after {drained} events");
-                let Some(ev) = a else { break };
-                drained += 1;
-                // Reactive load: some deliveries schedule new work, so
-                // the engines are also compared mid-flight (including
-                // pushes landing during a broadcast unroll).
-                let (EventPayload::Message { msg, .. } | EventPayload::Timer { key: msg, .. }) =
-                    ev.payload;
-                if msg % 13 == 0 && drained < 2000 {
-                    let s = rng.next();
-                    schedule(s, &mut lanes, &mut heap);
+                assert_eq!(lanes.delivered(), heap.delivered(), "seed {seed}");
+                let Some(block) = lanes.next() else { break };
+                for ev in unrolled(block) {
+                    let b = heap.next();
+                    assert_eq!(
+                        Some(&ev),
+                        b.as_ref(),
+                        "seed {seed} diverged after {drained} events"
+                    );
+                    drained += 1;
+                    // Reactive load: some deliveries schedule new work, so
+                    // the engines are also compared mid-flight (including
+                    // pushes landing while a broadcast block is applied).
+                    let (EventPayload::Message { msg, .. } | EventPayload::Timer { key: msg, .. }) =
+                        ev.payload
+                    else {
+                        unreachable!("unrolled events are single deliveries")
+                    };
+                    if msg % 13 == 0 && drained < 2000 {
+                        let s = rng.next();
+                        schedule(s, &mut lanes, &mut heap);
+                    }
                 }
             }
+            assert!(heap.next().is_none(), "seed {seed}");
             assert_eq!(lanes.delivered(), heap.delivered(), "seed {seed}");
             assert_eq!(lanes.now(), heap.now(), "seed {seed}");
             assert_eq!(lanes.pending(), 0);

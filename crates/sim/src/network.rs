@@ -53,11 +53,11 @@ impl NetworkModel {
         sim.schedule(self.transfer_time(bytes), EventPayload::Message { from, to, msg });
     }
 
-    /// Broadcasts clones of `msg` to every processor in `0..nprocs`
-    /// except `from` (the usual "inform the others" pattern). Delivery
-    /// order and times are exactly those of per-target [`Self::send`]
-    /// calls in ascending target order, but the whole block costs one
-    /// queue entry (see [`EventQueue::schedule_broadcast`]).
+    /// Broadcasts `msg` to every processor in `0..nprocs` except `from`
+    /// (the usual "inform the others" pattern). Delivery order and times
+    /// are exactly those of per-target [`Self::send`] calls in ascending
+    /// target order, but the whole block is one event (see
+    /// [`EventQueue::schedule_broadcast`]).
     pub fn broadcast<M: Clone, Q: EventQueue<M>>(
         &self,
         sim: &mut Q,
@@ -107,10 +107,12 @@ mod tests {
         net.broadcast(&mut sim, 1, 4, 42, 8);
         let mut tos = Vec::new();
         for e in sim {
-            if let EventPayload::Message { from, to, msg } = e.payload {
-                assert_eq!(from, 1);
-                assert_eq!(msg, 42);
-                tos.push(to);
+            for p in e.payload.unroll() {
+                if let EventPayload::Message { from, to, msg } = p {
+                    assert_eq!(from, 1);
+                    assert_eq!(msg, 42);
+                    tos.push(to);
+                }
             }
         }
         tos.sort_unstable();
