@@ -47,9 +47,9 @@
 
 use mf_bench::obs;
 use mf_bench::sweep::{
-    build_tree, paper_scale_config, split_threshold_for, sweep_cell_captured, CellResult,
+    build_tree, paper_scale_config, split_threshold_for, strategy_configs, sweep_cell, CellResult,
 };
-use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::{RecoveryConfig, SolverConfig};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_core::CoreAlloc;
@@ -374,14 +374,8 @@ fn print_diff(c: &CellResult) {
 /// drained, and the factors are exactly the fault-free run's.
 fn recovery_replay(args: &Args) {
     let tree = build_tree(args.matrix, args.ordering, args.split);
-    let cfg0 = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        record_events: true,
-        ..paper_scale_config(args.nprocs)
-    };
+    let (_, cfg0) =
+        strategy_configs(SolverConfig { record_events: true, ..paper_scale_config(args.nprocs) });
     let map = compute_mapping(&tree, &cfg0);
     let plain = parsim::run(&tree, &map, &cfg0).expect("fault-free run");
     let cfg = SolverConfig {
@@ -478,14 +472,13 @@ fn recovery_replay(args: &Args) {
 /// straight off the flight recording.
 fn core_timeline(args: &Args) {
     let tree = build_tree(args.matrix, args.ordering, args.split);
-    let mk_cfg = |alloc: CoreAlloc| SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        record_events: true,
-        core_alloc: alloc,
-        ..paper_scale_config(args.nprocs)
+    let mk_cfg = |alloc: CoreAlloc| {
+        strategy_configs(SolverConfig {
+            record_events: true,
+            core_alloc: alloc,
+            ..paper_scale_config(args.nprocs)
+        })
+        .1
     };
     let cfg_static = mk_cfg(CoreAlloc::Static(1));
     let cfg_mall = mk_cfg(CoreAlloc::malleable(4 * args.nprocs));
@@ -560,7 +553,7 @@ fn core_timeline(args: &Args) {
 /// processor (via [`checked_attribution`]) and prints one line per cell.
 fn check_all(ordering: OrderingKind, nprocs: usize, split: Option<u64>) {
     for m in ALL_PAPER_MATRICES {
-        let c = sweep_cell_captured(m, ordering, nprocs, split);
+        let c = sweep_cell(m, ordering, nprocs, split, true);
         for (name, r) in [("workload", &c.baseline), ("memory", &c.memory)] {
             let att = checked_attribution(r);
             let worst = att.iter().max_by_key(|a| a.peak).unwrap();
@@ -616,7 +609,7 @@ fn main() {
             None => String::new(),
         }
     );
-    let c = sweep_cell_captured(args.matrix, args.ordering, args.nprocs, args.split);
+    let c = sweep_cell(args.matrix, args.ordering, args.nprocs, args.split, true);
     print_report("workload (baseline)", &c.baseline);
     print_report("memory-based", &c.memory);
     print_diff(&c);

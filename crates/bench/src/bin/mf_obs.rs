@@ -44,10 +44,10 @@
 
 use mf_bench::obs;
 use mf_bench::sweep::{
-    build_tree, paper_scale_config, split_threshold_for, sweep_cell_captured, Backend, CellResult,
-    DEFAULT_SAMPLE_INTERVAL,
+    build_tree, paper_scale_config, split_threshold_for, strategy_configs, sweep_cell, Backend,
+    CellResult, DEFAULT_SAMPLE_INTERVAL,
 };
-use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::{RecoveryConfig, SolverConfig};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_order::{OrderingKind, ALL_ORDERINGS};
@@ -155,21 +155,11 @@ fn parse_cell_args(args: impl Iterator<Item = String>) -> CellArgs {
 
 /// Strategy knobs for one arm of a cell, on top of a base config.
 fn strategy_cfg(strategy: &str, base: &SolverConfig) -> SolverConfig {
-    match strategy {
-        "baseline" => SolverConfig {
-            slave_selection: SlaveSelection::Workload,
-            task_selection: TaskSelection::Lifo,
-            use_subtree_info: false,
-            use_prediction: false,
-            ..base.clone()
-        },
-        _ => SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..base.clone()
-        },
+    let (baseline, memory) = strategy_configs(base.clone());
+    if strategy == "baseline" {
+        baseline
+    } else {
+        memory
     }
 }
 
@@ -224,11 +214,11 @@ fn cmd_audit(a: &CellArgs) {
         findings += audit_recovery(a);
     } else if a.check_all {
         for m in ALL_PAPER_MATRICES {
-            let c = sweep_cell_captured(m, a.ordering, a.nprocs, a.split);
+            let c = sweep_cell(m, a.ordering, a.nprocs, a.split, true);
             findings += audit_cell(&c);
         }
     } else {
-        let c = sweep_cell_captured(a.matrix, a.ordering, a.nprocs, a.split);
+        let c = sweep_cell(a.matrix, a.ordering, a.nprocs, a.split, true);
         findings += audit_cell(&c);
     }
     if findings > 0 {
@@ -351,7 +341,7 @@ fn cmd_diff_strategies(a: &CellArgs) {
         a.ordering.name(),
         a.nprocs
     );
-    let c = sweep_cell_captured(a.matrix, a.ordering, a.nprocs, a.split);
+    let c = sweep_cell(a.matrix, a.ordering, a.nprocs, a.split, true);
     let (ra, rb) = (c.baseline.recording.as_ref().unwrap(), c.memory.recording.as_ref().unwrap());
     match first_divergence(ra, rb) {
         None => println!("schedules identical ({} events)", ra.len()),

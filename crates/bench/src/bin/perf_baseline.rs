@@ -44,10 +44,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use mf_bench::sweep::{
-    sweep_cell, sweep_cell_recorded, sweep_cell_sampled, sweep_cells, CellResult, CellSpec,
+    strategy_configs, sweep_cell, sweep_cell_sampled, sweep_cells, CellResult, CellSpec,
     DEFAULT_SAMPLE_INTERVAL,
 };
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::SolverConfig;
 use mf_core::CoreAlloc;
 use mf_frontal::dense::{partial_lu_blocked_mt, partial_lu_blocked_rank1_panel, DenseMat};
 use mf_frontal::gemm;
@@ -82,7 +82,7 @@ fn subset() -> Vec<CellSpec> {
 /// One cell the way the pre-cache drivers ran it: every artifact rebuilt
 /// from scratch, nothing shared, strictly sequential at the call site.
 fn uncached_cell(spec: &CellSpec) -> CellResult {
-    let &(matrix, ordering, nprocs, split, traces) = spec;
+    let &(matrix, ordering, nprocs, split, record) = spec;
     let a = matrix.instantiate();
     let perm = ordering.compute(&a);
     let mut s = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default());
@@ -91,25 +91,11 @@ fn uncached_cell(spec: &CellSpec) -> CellResult {
         mf_symbolic::split::split_large_masters(&mut s.tree, t);
     }
     // The simulation part is identical to sweep_cell's; only the tree
-    // construction differs (fresh vs cached). Reuse sweep_cell for the
-    // runs by... no: sweep_cell would hit the cache. Run the two
-    // strategies directly instead.
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        record_traces: traces,
+    // construction differs (fresh here, cached there).
+    let (base_cfg, mem_cfg) = strategy_configs(SolverConfig {
+        record_events: record,
         ..mf_bench::sweep::paper_scale_config(nprocs)
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        record_traces: traces,
-        ..mf_bench::sweep::paper_scale_config(nprocs)
-    };
+    });
     let map = mf_core::mapping::compute_mapping(&s.tree, &base_cfg);
     let run = |cfg: &SolverConfig, what: &str| {
         mf_core::parsim::run(&s.tree, &map, cfg)
@@ -428,13 +414,12 @@ fn main() {
         .iter()
         .map(|&(m, k, nprocs, split, _)| {
             let tree = mf_bench::sweep::build_tree(m, k, split);
-            let mk = |alloc: CoreAlloc| SolverConfig {
-                slave_selection: SlaveSelection::Memory,
-                task_selection: TaskSelection::MemoryAware,
-                use_subtree_info: true,
-                use_prediction: true,
-                core_alloc: alloc,
-                ..mf_bench::sweep::paper_scale_config(nprocs)
+            let mk = |alloc: CoreAlloc| {
+                strategy_configs(SolverConfig {
+                    core_alloc: alloc,
+                    ..mf_bench::sweep::paper_scale_config(nprocs)
+                })
+                .1
             };
             let cfg_s = mk(CoreAlloc::Static(1));
             let cfg_m = mk(CoreAlloc::malleable(4 * nprocs));
@@ -516,7 +501,7 @@ fn main() {
         let start = Instant::now();
         recorded = specs
             .par_iter()
-            .map(|&(m, k, nprocs, split, _)| sweep_cell_recorded(m, k, nprocs, split))
+            .map(|&(m, k, nprocs, split, _)| sweep_cell(m, k, nprocs, split, true))
             .collect();
         recorder_enabled_ms = recorder_enabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }

@@ -28,6 +28,5 @@ pub mod sweep;
 
 pub use sweep::{
     paper_scale_config, render_percent_table, sample_every_from_env, split_threshold_for,
-    sweep_cell, sweep_cell_captured, sweep_cell_sampled, sweep_cells, CellResult, CellSpec,
-    DEFAULT_SAMPLE_INTERVAL,
+    sweep_cell, sweep_cell_sampled, sweep_cells, CellResult, CellSpec, DEFAULT_SAMPLE_INTERVAL,
 };

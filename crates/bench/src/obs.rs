@@ -486,11 +486,12 @@ mod tests {
 
     #[test]
     fn summary_of_a_real_cell_is_valid_json() {
-        let c = crate::sweep::sweep_cell_captured(
+        let c = crate::sweep::sweep_cell(
             mf_sparse::gen::paper::PaperMatrix::TwoTone,
             mf_order::OrderingKind::Amd,
             4,
             None,
+            true,
         );
         let s = cell_summary_json(&c);
         validate_json(&s).expect("summary must be well-formed");

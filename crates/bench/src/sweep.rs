@@ -157,120 +157,32 @@ pub fn build_tree(
 }
 
 /// Runs one cell: same tree and static mapping, both dynamic strategies.
+///
+/// With `record` set, both runs also keep the structured flight
+/// recording, unbounded (`paper_scale_config` leaves `event_capacity` at
+/// `None`) so peak attribution is exact. The recorder never perturbs the
+/// schedule: peaks, makespans and message counts are the same either way
+/// (pinned by `mf_core`'s
+/// `recording_is_deterministic_and_absent_when_disabled` test), so timing
+/// the two settings on one cell set isolates the recorder's cost.
 pub fn sweep_cell(
     matrix: PaperMatrix,
     ordering: OrderingKind,
     nprocs: usize,
     split: Option<u64>,
-    record_traces: bool,
+    record: bool,
 ) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        record_traces,
-        ..paper_scale_config(nprocs)
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        record_traces,
-        ..paper_scale_config(nprocs)
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
-    CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
+    let observed = SolverConfig { record_events: record, ..paper_scale_config(nprocs) };
+    run_cell(matrix, ordering, split, observed)
 }
 
-/// Runs one cell exactly like [`sweep_cell`], but with the full
-/// observability surface enabled on both strategies: per-processor
-/// memory traces *and* the structured flight recording (unbounded, so
-/// peak attribution is exact). Schedules are guaranteed unperturbed —
-/// the recorder's disabled/enabled paths produce identical peaks,
-/// makespans and message counts (pinned by `mf_core`'s
-/// `recording_is_deterministic_and_absent_when_disabled` test).
-pub fn sweep_cell_captured(
-    matrix: PaperMatrix,
-    ordering: OrderingKind,
-    nprocs: usize,
-    split: Option<u64>,
-) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
-    let observed = SolverConfig {
-        record_traces: true,
-        record_events: true,
-        event_capacity: None,
-        ..paper_scale_config(nprocs)
-    };
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        ..observed.clone()
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..observed
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
-    CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
-}
-
-/// Runs one cell exactly like [`sweep_cell`] with traces off, but with
-/// the structured flight recorder on (unbounded). This is the honest
-/// recorder-overhead arm: the *only* difference from
-/// `sweep_cell(.., false)` is `record_events`, so timing the two on the
-/// same cell set in the same process isolates the recorder's cost.
-pub fn sweep_cell_recorded(
-    matrix: PaperMatrix,
-    ordering: OrderingKind,
-    nprocs: usize,
-    split: Option<u64>,
-) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
-    let observed =
-        SolverConfig { record_events: true, event_capacity: None, ..paper_scale_config(nprocs) };
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        ..observed.clone()
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..observed
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
-    CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
-}
-
-/// Runs one cell exactly like [`sweep_cell`] (traces and recorder off),
-/// but with the telemetry sampler armed at the given interval on both
-/// strategies. This is the sampler-overhead arm of `perf_baseline`: the
-/// *only* difference from `sweep_cell(.., false)` is `sample_every`, so
-/// timing the two isolates the sampler's end-to-end cost — and the
-/// schedule-invariance contract means peaks and makespans must agree
-/// bit-exactly with the unsampled run.
+/// Runs one cell exactly like `sweep_cell(.., false)`, but with the
+/// telemetry sampler armed at the given interval on both strategies.
+/// This is the sampler-overhead arm of `perf_baseline`: the *only*
+/// difference is `sample_every`, so timing the two isolates the
+/// sampler's end-to-end cost — and the schedule-invariance contract
+/// means peaks and makespans must agree bit-exactly with the unsampled
+/// run.
 pub fn sweep_cell_sampled(
     matrix: PaperMatrix,
     ordering: OrderingKind,
@@ -278,22 +190,41 @@ pub fn sweep_cell_sampled(
     split: Option<u64>,
     every: u64,
 ) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
     let observed = SolverConfig { sample_every: Some(every), ..paper_scale_config(nprocs) };
-    let base_cfg = SolverConfig {
+    run_cell(matrix, ordering, split, observed)
+}
+
+/// The two configurations a cell compares, both derived from `observed`
+/// (which carries the processor count and what to observe): the
+/// workload baseline and the full memory-based strategies.
+pub fn strategy_configs(observed: SolverConfig) -> (SolverConfig, SolverConfig) {
+    let base = SolverConfig {
         slave_selection: SlaveSelection::Workload,
         task_selection: TaskSelection::Lifo,
         use_subtree_info: false,
         use_prediction: false,
         ..observed.clone()
     };
-    let mem_cfg = SolverConfig {
+    let mem = SolverConfig {
         slave_selection: SlaveSelection::Memory,
         task_selection: TaskSelection::MemoryAware,
         use_subtree_info: true,
         use_prediction: true,
         ..observed
     };
+    (base, mem)
+}
+
+/// Runs both strategies of [`strategy_configs`] on the cached tree and
+/// one static mapping, on the backend chosen by `MF_BACKEND`.
+fn run_cell(
+    matrix: PaperMatrix,
+    ordering: OrderingKind,
+    split: Option<u64>,
+    observed: SolverConfig,
+) -> CellResult {
+    let tree = build_tree(matrix, ordering, split);
+    let (base_cfg, mem_cfg) = strategy_configs(observed);
     let map = compute_mapping(&tree, &base_cfg);
     let backend = Backend::from_env();
     let baseline = backend.run(&tree, &map, &base_cfg);
@@ -314,7 +245,7 @@ pub type CellSpec = (PaperMatrix, OrderingKind, usize, Option<u64>, bool);
 pub fn sweep_cells(specs: &[CellSpec]) -> Vec<CellResult> {
     specs
         .par_iter()
-        .map(|&(m, k, nprocs, split, traces)| sweep_cell(m, k, nprocs, split, traces))
+        .map(|&(m, k, nprocs, split, record)| sweep_cell(m, k, nprocs, split, record))
         .collect()
 }
 

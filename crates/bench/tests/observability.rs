@@ -3,7 +3,7 @@
 //! bit-identical recordings across rayon thread-pool widths.
 
 use mf_bench::obs::{cell_summary_json, validate_json};
-use mf_bench::sweep::{sweep_cell_captured, CellResult};
+use mf_bench::sweep::{sweep_cell, CellResult};
 use mf_order::OrderingKind;
 use mf_sim::recorder::{FrontClass, MemArea, SchedEvent, TaskRole};
 use mf_sim::{write_chrome_trace, Recording};
@@ -106,7 +106,7 @@ fn int_values(s: &str, key: &str) -> Vec<i64> {
 #[test]
 fn real_trace_is_valid_monotone_and_balanced() {
     let nprocs = 4;
-    let c = sweep_cell_captured(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs, None);
+    let c = sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs, None, true);
     for run in [&c.baseline, &c.memory] {
         let rec = run.recording.as_ref().expect("captured run records");
         let s = render(rec, nprocs);
@@ -146,7 +146,7 @@ fn real_trace_is_valid_monotone_and_balanced() {
 #[test]
 fn compact_recording_round_trips_through_owned_events() {
     let nprocs = 4;
-    let c = sweep_cell_captured(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs, None);
+    let c = sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs, None, true);
     for run in [&c.baseline, &c.memory] {
         let rec = run.recording.as_ref().expect("captured run records");
         assert!(rec.payload_refs_valid(), "payload refs must be in-bounds and non-overlapping");
@@ -300,9 +300,7 @@ fn recordings_identical_across_thread_pool_widths() {
             .num_threads(threads)
             .build()
             .expect("build local pool")
-            .install(|| {
-                specs.par_iter().map(|&(m, k)| sweep_cell_captured(m, k, 4, None)).collect()
-            })
+            .install(|| specs.par_iter().map(|&(m, k)| sweep_cell(m, k, 4, None, true)).collect())
     };
     let narrow = run_with(1);
     let wide = run_with(4);

@@ -189,8 +189,6 @@ pub struct SolverConfig {
     /// `subtree_peak_factor x (sequential peak / nprocs)`.
     /// `None` keeps the purely flops-based definition of Section 3.
     pub subtree_peak_factor: Option<f64>,
-    /// Record per-processor active-memory traces (for the figures).
-    pub record_traces: bool,
     /// Record the structured flight recording ([`mf_sim::Recording`]):
     /// every scheduling decision, memory movement, and status message,
     /// replayable by the `explain` report and exportable to Perfetto.
@@ -276,7 +274,6 @@ impl Default for SolverConfig {
             use_prediction: false,
             split_threshold: None,
             subtree_peak_factor: None,
-            record_traces: false,
             record_events: false,
             event_capacity: None,
             out_of_core: None,

@@ -29,7 +29,7 @@ use mf_sim::recorder::TaskRole;
 use mf_sim::{
     CompactEvent, CoreMetrics, Event, EventPayload, EventQueue, FaultInjector, MsgClass,
     NetworkModel, ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim,
-    Time, Trace, DEFAULT_SERIES_CAPACITY,
+    Time, DEFAULT_SERIES_CAPACITY,
 };
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
@@ -54,9 +54,6 @@ pub struct RunResult {
     /// of the scale bench's ns/event figure. Both backends run the same
     /// event loop, so the count does not depend on the backend.
     pub events_delivered: u64,
-    /// Per-processor active-memory traces when
-    /// [`SolverConfig::record_traces`] was set.
-    pub traces: Option<Vec<Trace>>,
     /// Per-processor peak of active memory *plus factors* — what an
     /// in-core execution must provision; the gap to `peaks` is exactly
     /// the out-of-core argument of the paper's conclusion (factors can be
@@ -1070,9 +1067,6 @@ pub fn run_on<Q: EventQueue<Msg>, H: CoreHost>(
         makespan: drv.sim.now().max(disk_end),
         messages: drv.messages,
         events_delivered,
-        traces: cfg.record_traces.then(|| {
-            finals.iter().map(|f| f.memory.trace().cloned().unwrap_or_default()).collect()
-        }),
         nodes_done: survivors.iter().map(|f| f.nodes_done).sum(),
         total_nodes: n,
         dropped_messages,
@@ -1198,28 +1192,6 @@ mod tests {
         // A different seed generally yields a different schedule.
         let r3 = run(&tree, &map, &SolverConfig { jitter: Some((8, 0.1)), ..cfg0 }).unwrap();
         assert!(r3.makespan != r1.makespan || r3.peaks != r1.peaks);
-    }
-
-    #[test]
-    fn traces_cover_all_processors() {
-        let tree = tree_for(16);
-        let cfg = SolverConfig {
-            record_traces: true,
-            type2_front_min: 24,
-            ..SolverConfig::mumps_baseline(4)
-        };
-        let map = compute_mapping(&tree, &cfg);
-        let r = run(&tree, &map, &cfg).unwrap();
-        let traces = r.traces.unwrap();
-        assert_eq!(traces.len(), 4);
-        // Traces keep within-instant transients (TraceSample::high), so
-        // their max agrees exactly with the accounting peak — per
-        // processor and globally.
-        for (t, &pk) in traces.iter().zip(&r.peaks) {
-            assert_eq!(t.max(), pk, "trace max must equal active_peak");
-        }
-        let tmax = traces.iter().map(|t| t.max()).max().unwrap();
-        assert_eq!(tmax, r.max_peak, "tmax={tmax} peak={}", r.max_peak);
     }
 
     #[test]

@@ -522,7 +522,7 @@ impl<'a> SchedulerCore<'a> {
             record: cfg.record_events,
             now: 0,
             out: Vec::new(),
-            mem: ProcMemory::new(cfg.record_traces),
+            mem: ProcMemory::default(),
             disk_busy_until: 0,
             views: Views::new(cfg.nprocs, initial_load),
             pool: TaskPool::new(map.initial_pool[id].clone()),
@@ -934,7 +934,7 @@ impl<'a> SchedulerCore<'a> {
             let f = self.factors_by_node[v];
             if f > 0 {
                 self.factors_by_node[v] = 0;
-                if self.cfg.out_of_core.is_none() && !self.mem.forget_factors(self.now, f) {
+                if self.cfg.out_of_core.is_none() && !self.mem.forget_factors(f) {
                     self.flag(Violation::Accounting { proc: self.id, area: "factors" });
                 }
             }
@@ -1160,13 +1160,13 @@ impl<'a> SchedulerCore<'a> {
 
     fn mem_alloc_front(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Alloc { node, area: MemArea::Front, entries });
-        self.mem.alloc_front(self.now, entries);
+        self.mem.alloc_front(entries);
         self.after_mem_change(entries as i64);
     }
 
     fn mem_free_front(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Free { node, area: MemArea::Front, entries });
-        if !self.mem.free_front(self.now, entries) {
+        if !self.mem.free_front(entries) {
             self.flag(Violation::Accounting { proc: self.id, area: "fronts" });
         }
         self.after_mem_change(-(entries as i64));
@@ -1174,13 +1174,13 @@ impl<'a> SchedulerCore<'a> {
 
     fn mem_push_cb(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Alloc { node, area: MemArea::Stack, entries });
-        self.mem.push_cb(self.now, entries);
+        self.mem.push_cb(entries);
         self.after_mem_change(entries as i64);
     }
 
     fn mem_pop_cb(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Free { node, area: MemArea::Stack, entries });
-        if !self.mem.pop_cb(self.now, entries) {
+        if !self.mem.pop_cb(entries) {
             self.flag(Violation::Accounting { proc: self.id, area: "stack" });
         }
         self.after_mem_change(-(entries as i64));
@@ -1193,7 +1193,7 @@ impl<'a> SchedulerCore<'a> {
     fn store_factors(&mut self, node: usize, entries: u64) {
         self.factors_by_node[node] += entries;
         match self.cfg.out_of_core {
-            None => self.mem.store_factors(self.now, entries),
+            None => self.mem.store_factors(entries),
             Some(bw) => {
                 let dur = (entries * 8 / bw.max(1)).max(1);
                 let start = self.disk_busy_until.max(self.now);
@@ -1813,7 +1813,7 @@ impl<'a> SchedulerCore<'a> {
                 // increment is broadcast — the master's Assigned message
                 // already announced this allocation to everyone.
                 self.out.push(Effect::Alloc { node, area: MemArea::Front, entries });
-                self.mem.alloc_front(self.now, entries);
+                self.mem.alloc_front(entries);
                 let active = self.mem.active();
                 self.views.mem[to] = active;
                 self.views.touch(to, self.now);

@@ -160,7 +160,6 @@ proptest! {
         let cfg = SolverConfig {
             fault: (level > 0.05).then(|| FaultModel::intensity(seed, level)),
             record_events: record,
-            record_traces: true,
             ..cfg0
         };
         let a = parsim::run(&tree, &map, &cfg).unwrap();

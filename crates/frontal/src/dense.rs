@@ -155,44 +155,7 @@ pub fn partial_lu(
     assert!(npiv <= f);
     row_perm.clear();
     row_perm.extend(0..f);
-    for k in 0..npiv {
-        // Pivot: largest magnitude in column k among fully-summed rows.
-        let mut piv_row = k;
-        let mut piv_val = w.get(k, k).abs();
-        for i in k + 1..npiv {
-            let v = w.get(i, k).abs();
-            if v > piv_val {
-                piv_val = v;
-                piv_row = i;
-            }
-        }
-        if piv_val < 1e-300 {
-            return Err(KernelError::TinyPivot { step: k, value: w.get(piv_row, k) });
-        }
-        if piv_row != k {
-            w.swap_rows(k, piv_row);
-            row_perm.swap(k, piv_row);
-        }
-        let d = w.get(k, k);
-        // Scale column k below the diagonal.
-        let inv = 1.0 / d;
-        for i in k + 1..f {
-            *w.get_mut(i, k) *= inv;
-        }
-        // Rank-1 update of the trailing block: W[k+1.., k+1..] -= l * u.
-        // Splitting after column k separates the finished L column from
-        // the columns being updated, so the axpy runs on plain slices.
-        let (head, tail) = w.data.split_at_mut((k + 1) * f);
-        let lcol = &head[k * f + k + 1..];
-        for colj in tail.chunks_exact_mut(f) {
-            let ukj = colj[k];
-            if ukj == 0.0 {
-                continue;
-            }
-            gemm::axpy_sub(&mut colj[k + 1..], lcol, ukj);
-        }
-    }
-    Ok(())
+    panel_lu_rank1(w, npiv, row_perm, 0, npiv, f)
 }
 
 /// Fixed column-chunk width of the parallel trailing sweep (a multiple
@@ -378,20 +341,23 @@ fn dispatch_trailing(
 /// packed microkernels instead of `axpy_sub`.
 const PANEL_BASE: usize = 8;
 
-/// Rank-1 panel LU over columns `k0..k0+kb`: the historical unblocked
-/// panel loop — pivot (argmax over rows `k..npiv`, strict `>`), swap
-/// across all columns, scale, then `axpy_sub` updates of the remaining
-/// panel columns only. The base case of [`panel_lu_rec`] and the
-/// reference the `panel` benchmark compares the recursion against.
+/// Rank-1 LU over pivot columns `k0..k0+kb`: pivot (argmax over rows
+/// `k..npiv`, strict `>`), swap across all columns, scale, then
+/// `axpy_sub` updates of columns `k+1..jend` only. With `jend = f` it is
+/// the whole unblocked kernel ([`partial_lu`]); with `jend = k0 + kb`
+/// it is the base case of [`panel_lu_rec`] and the panel of the
+/// reference [`partial_lu_blocked_rank1_panel`].
 fn panel_lu_rank1(
     w: &mut DenseMat,
     npiv: usize,
     row_perm: &mut [usize],
     k0: usize,
     kb: usize,
+    jend: usize,
 ) -> Result<(), KernelError> {
     let f = w.nrows;
     for k in k0..k0 + kb {
+        // Pivot: largest magnitude in column k among fully-summed rows.
         let mut piv_row = k;
         let mut piv_val = w.get(k, k).abs();
         for i in k + 1..npiv {
@@ -408,14 +374,17 @@ fn panel_lu_rank1(
             w.swap_rows(k, piv_row);
             row_perm.swap(k, piv_row);
         }
+        // Scale column k below the diagonal.
         let inv = 1.0 / w.get(k, k);
         for i in k + 1..f {
             *w.get_mut(i, k) *= inv;
         }
-        // Update only the remaining sub-panel columns now.
+        // Rank-1 update W[k+1.., k+1..jend] -= l * u. Splitting after
+        // column k separates the finished L column from the columns being
+        // updated, so the axpy runs on plain slices.
         let (head, tail) = w.data.split_at_mut((k + 1) * f);
         let lcol = &head[k * f + k + 1..];
-        for colj in tail.chunks_exact_mut(f).take(k0 + kb - k - 1) {
+        for colj in tail.chunks_exact_mut(f).take(jend - k - 1) {
             let ukj = colj[k];
             if ukj == 0.0 {
                 continue;
@@ -444,7 +413,7 @@ fn panel_lu_rec(
 ) -> Result<(), KernelError> {
     let f = w.nrows;
     if kb <= PANEL_BASE {
-        return panel_lu_rank1(w, npiv, row_perm, k0, kb);
+        return panel_lu_rank1(w, npiv, row_perm, k0, kb, k0 + kb);
     }
     let h = kb / 2;
     panel_lu_rec(w, npiv, row_perm, k0, h, ws)?;
@@ -456,6 +425,43 @@ fn panel_lu_rec(
         lu_trailing_chunk(cols, f, k0, mid, panel, &ap);
     }
     panel_lu_rec(w, npiv, row_perm, mid, kb - h, ws)
+}
+
+/// Rank-1 LDLᵀ over pivot columns `k0..k0+kb` (1x1 diagonal pivots, no
+/// pivoting), updating columns `k+1..jend` over *all* rows `k+1..f`,
+/// which keeps both triangles current directly — no separate mirror
+/// pass. The lower triangle and diagonal see the exact subtraction
+/// sequence of a lower-only update; upper entries are computed by the
+/// symmetric formula instead of copied. With `jend = f` it is the whole
+/// unblocked kernel ([`partial_ldlt`]); with `jend = k0 + kb` it is the
+/// base case of [`panel_ldlt_rec`].
+fn panel_ldlt_rank1(
+    w: &mut DenseMat,
+    k0: usize,
+    kb: usize,
+    jend: usize,
+) -> Result<(), KernelError> {
+    let f = w.nrows;
+    for k in k0..k0 + kb {
+        let d = w.get(k, k);
+        if d.abs() < 1e-300 {
+            return Err(KernelError::TinyPivot { step: k, value: d });
+        }
+        let inv = 1.0 / d;
+        for i in k + 1..f {
+            *w.get_mut(i, k) *= inv;
+        }
+        let (head, tail) = w.data.split_at_mut((k + 1) * f);
+        let lcol = &head[k * f + k + 1..];
+        for (jt, colj) in tail.chunks_exact_mut(f).take(jend - k - 1).enumerate() {
+            let ljk_d = lcol[jt] * d; // l_jk * d_k
+            if ljk_d == 0.0 {
+                continue;
+            }
+            gemm::axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
+        }
+    }
+    Ok(())
 }
 
 /// Recursive panel LDLᵀ over columns `k0..k0+kb` (all rows, both
@@ -470,26 +476,7 @@ fn panel_ldlt_rec(
 ) -> Result<(), KernelError> {
     let f = w.nrows;
     if kb <= PANEL_BASE {
-        for k in k0..k0 + kb {
-            let d = w.get(k, k);
-            if d.abs() < 1e-300 {
-                return Err(KernelError::TinyPivot { step: k, value: d });
-            }
-            let inv = 1.0 / d;
-            for i in k + 1..f {
-                *w.get_mut(i, k) *= inv;
-            }
-            let (head, tail) = w.data.split_at_mut((k + 1) * f);
-            let lcol = &head[k * f + k + 1..];
-            for (jt, colj) in tail.chunks_exact_mut(f).take(k0 + kb - k - 1).enumerate() {
-                let ljk_d = lcol[jt] * d;
-                if ljk_d == 0.0 {
-                    continue;
-                }
-                gemm::axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
-            }
-        }
-        return Ok(());
+        return panel_ldlt_rank1(w, k0, kb, k0 + kb);
     }
     let h = kb / 2;
     panel_ldlt_rec(w, k0, h, ws)?;
@@ -520,6 +507,44 @@ pub fn partial_lu_blocked_mt(
     row_perm: &mut Vec<usize>,
     threads: usize,
 ) -> Result<(), KernelError> {
+    blocked_lu(w, npiv, nb, row_perm, threads, |w, row_perm, k0, kb, ws| {
+        panel_lu_rec(w, npiv, row_perm, k0, kb, ws)
+    })
+}
+
+/// [`partial_lu_blocked_mt`] with the *rank-1* panel of the pre-recursive
+/// kernel: identical pivot rule and trailing update, but the panel
+/// columns advance by `axpy_sub` alone. Kept as the reference the
+/// `panel` benchmark and the recursive-panel tests compare against —
+/// the drivers never call it.
+pub fn partial_lu_blocked_rank1_panel(
+    w: &mut DenseMat,
+    npiv: usize,
+    nb: usize,
+    row_perm: &mut Vec<usize>,
+) -> Result<(), KernelError> {
+    blocked_lu(w, npiv, nb, row_perm, 1, |w, row_perm, k0, kb, _| {
+        panel_lu_rank1(w, npiv, row_perm, k0, kb, k0 + kb)
+    })
+}
+
+/// The panel loop of the blocked LU kernels: factor each panel of `nb`
+/// columns with `factor_panel(w, row_perm, k0, kb, ws)`, then update the
+/// columns right of it through the packed microkernels.
+fn blocked_lu(
+    w: &mut DenseMat,
+    npiv: usize,
+    nb: usize,
+    row_perm: &mut Vec<usize>,
+    threads: usize,
+    mut factor_panel: impl FnMut(
+        &mut DenseMat,
+        &mut [usize],
+        usize,
+        usize,
+        &mut GemmWorkspace,
+    ) -> Result<(), KernelError>,
+) -> Result<(), KernelError> {
     let f = w.nrows();
     assert_eq!(f, w.ncols(), "frontal matrices are square");
     assert!(npiv <= f);
@@ -530,9 +555,8 @@ pub fn partial_lu_blocked_mt(
     let mut k0 = 0;
     while k0 < npiv {
         let kb = nb.min(npiv - k0);
-        // ---- Panel factorization (recursive, GEMM-rich) on columns
-        // k0..k0+kb. ----
-        panel_lu_rec(w, npiv, row_perm, k0, kb, &mut ws)?;
+        // ---- Panel factorization on columns k0..k0+kb. ----
+        factor_panel(w, row_perm, k0, kb, &mut ws)?;
         let kend = k0 + kb;
         // ---- Columns right of the panel: the triangular U12 solve
         // (rows k0..kend) followed by the GEMM update of rows kend..f,
@@ -550,77 +574,17 @@ pub fn partial_lu_blocked_mt(
     Ok(())
 }
 
-/// [`partial_lu_blocked_mt`] with the *rank-1* panel of the pre-recursive
-/// kernel: identical pivot rule and trailing update, but the panel
-/// columns advance by `axpy_sub` alone. Kept as the reference the
-/// `panel` benchmark and the recursive-panel tests compare against —
-/// the drivers never call it.
-pub fn partial_lu_blocked_rank1_panel(
-    w: &mut DenseMat,
-    npiv: usize,
-    nb: usize,
-    row_perm: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    let f = w.nrows();
-    assert_eq!(f, w.ncols(), "frontal matrices are square");
-    assert!(npiv <= f);
-    let nb = nb.max(1);
-    row_perm.clear();
-    row_perm.extend(0..f);
-    let mut ws = GemmWorkspace::new();
-    let mut k0 = 0;
-    while k0 < npiv {
-        let kb = nb.min(npiv - k0);
-        panel_lu_rank1(w, npiv, row_perm, k0, kb)?;
-        let kend = k0 + kb;
-        if kend < f {
-            let (panel, trailing) = w.data.split_at_mut(kend * f);
-            let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
-            dispatch_trailing(trailing, f, 1, |_, cols| {
-                lu_trailing_chunk(cols, f, k0, kend, panel, &ap);
-            });
-        }
-        k0 = kend;
-    }
-    Ok(())
-}
-
 /// Partial LDLᵀ of the leading `npiv` columns of a symmetric front stored
 /// *fully* (both triangles) in `w`; no pivoting (1x1 diagonal pivots),
 /// suitable for the diagonally dominant symmetric problems here.
 ///
 /// On return, columns `0..npiv` hold `L` below the diagonal, `D` on it;
 /// the trailing block holds the symmetric Schur complement.
-pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
+fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
     let f = w.nrows();
     assert_eq!(f, w.ncols());
     assert!(npiv <= f);
-    for k in 0..npiv {
-        let d = w.get(k, k);
-        if d.abs() < 1e-300 {
-            return Err(KernelError::TinyPivot { step: k, value: d });
-        }
-        let inv = 1.0 / d;
-        for i in k + 1..f {
-            *w.get_mut(i, k) *= inv;
-        }
-        // Rank-1 update over *full* trailing columns (rows k+1..f), which
-        // keeps both triangles current directly — no separate mirror pass.
-        // The lower triangle and diagonal see the exact subtraction
-        // sequence of a lower-only update, so the factor and the lower
-        // Schur triangle are unchanged; upper entries are now computed by
-        // the symmetric formula instead of copied.
-        let (head, tail) = w.data.split_at_mut((k + 1) * f);
-        let lcol = &head[k * f + k + 1..];
-        for (jt, colj) in tail.chunks_exact_mut(f).enumerate() {
-            let ljk_d = lcol[jt] * d; // l_jk * d_k
-            if ljk_d == 0.0 {
-                continue;
-            }
-            gemm::axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
-        }
-    }
-    Ok(())
+    panel_ldlt_rank1(w, 0, npiv, f)
 }
 
 /// Cache-blocked variant of [`partial_ldlt`]: same (unpivoted) pivot
@@ -633,7 +597,7 @@ pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
 /// for every `threads` value by the same argument as
 /// [`partial_lu_blocked_mt`]: columns are partitioned disjointly and the
 /// per-element accumulation order is pinned.
-pub fn partial_ldlt_blocked_mt(
+fn partial_ldlt_blocked_mt(
     w: &mut DenseMat,
     npiv: usize,
     nb: usize,

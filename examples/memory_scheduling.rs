@@ -1,18 +1,20 @@
 //! The paper's headline experiment on one case: compare the workload
 //! baseline against the memory-based strategies (Algorithm 1 + Section
 //! 5.1 + Algorithm 2) on a TWOTONE-like harmonic-balance matrix, and plot
-//! the per-processor active-memory evolution as ASCII sparklines.
+//! the per-processor active-memory evolution as ASCII sparklines,
+//! replayed from the flight recording's memory events.
 //!
 //! Run with: `cargo run --release --example memory_scheduling`
 
 use multifrontal::core::driver::percent_decrease;
 use multifrontal::core::mapping::compute_mapping;
 use multifrontal::prelude::*;
+use multifrontal::sim::active_before;
 use multifrontal::symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 
-fn sparkline(samples: &[(u64, u64)], max: u64) -> String {
+fn sparkline(values: impl Iterator<Item = u64>, max: u64) -> String {
     const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    samples.iter().map(|&(_, v)| LEVELS[((v * 7) / max.max(1)) as usize]).collect()
+    values.map(|v| LEVELS[((v * 7) / max.max(1)) as usize]).collect()
 }
 
 fn main() {
@@ -24,7 +26,7 @@ fn main() {
 
     let nprocs = 16;
     let base_cfg = SolverConfig {
-        record_traces: true,
+        record_events: true,
         type2_front_min: 150,
         type3_front_min: 500,
         ..SolverConfig::mumps_baseline(nprocs)
@@ -52,10 +54,18 @@ fn main() {
     let global_max = base.max_peak.max(mem.max_peak);
     for (name, r) in [("baseline", &base), ("memory-based", &mem)] {
         println!("\nactive-memory evolution per processor ({name}):");
-        let traces = r.traces.as_ref().unwrap();
-        for (p, t) in traces.iter().enumerate() {
-            let line = sparkline(&t.resample(r.makespan, 60), global_max);
-            println!("  P{p:<2} {line} peak {:>8}", t.max());
+        // Active memory of every processor at 61 uniform instants: the
+        // state after all recorded events up to and including each one.
+        let rec = r.recording.as_ref().unwrap();
+        let samples: Vec<Vec<u64>> = (0..=60)
+            .map(|k| {
+                let t = r.makespan * k / 60;
+                active_before(nprocs, rec, rec.events().take_while(|e| e.at <= t).count())
+            })
+            .collect();
+        for (p, peak) in r.peaks.iter().enumerate() {
+            let line = sparkline(samples.iter().map(|s| s[p]), global_max);
+            println!("  P{p:<2} {line} peak {peak:>8}");
         }
     }
 }

@@ -112,3 +112,30 @@ fn disconnected_matrix_pipeline() {
     let r = run_experiment(&input, &cfg(true)).unwrap();
     assert_eq!(r.nodes_done, r.total_nodes);
 }
+
+/// Absolute factor digests of the sequential driver. The determinism
+/// suite compares drivers, pool widths and SIMD levels with each other,
+/// so a change that moves every path's arithmetic together passes it;
+/// these pins catch that. Both inputs have fronts on each side of the
+/// blocked-kernel threshold, so the rank-1 and the blocked kernels of
+/// both the LU and the LDLᵀ families are covered.
+#[test]
+fn pinned_factor_digests() {
+    // Re-derive with `cargo test --test regression_snapshots -- --nocapture`
+    // after an intentional change to the numeric arithmetic.
+    for (m, sym, pinned) in [
+        (PaperMatrix::TwoTone, Symmetry::General, 0xed83_2be2_693b_4152),
+        (PaperMatrix::MsDoor, Symmetry::Symmetric, 0x3ba0_9cba_48f4_9f3b),
+    ] {
+        let a = m.instantiate_scaled(0.25);
+        let s = analyze(&a, &OrderingKind::Amd.compute(&a), &AmalgamationOptions::default());
+        assert_eq!(s.tree.sym, sym, "{}", m.name());
+        // The drivers' kernel threshold (`dense::BLOCK_THRESHOLD`).
+        let npiv = |v: usize| s.tree.nodes[v].npiv;
+        assert!((0..s.tree.len()).any(|v| npiv(v) < 128), "{}: no rank-1 front", m.name());
+        assert!((0..s.tree.len()).any(|v| npiv(v) >= 128), "{}: no blocked front", m.name());
+        let digest = Factorization::from_symbolic(&a, &s).unwrap().content_digest();
+        eprintln!("{}: digest {digest:#018x}", m.name());
+        assert_eq!(digest, pinned, "{}: factor bytes moved", m.name());
+    }
+}

@@ -144,20 +144,6 @@ fn paper_cfg(memory: bool) -> SolverConfig {
 }
 
 #[test]
-fn traces_reconstruct_the_peaks() {
-    let a = small_input(PaperMatrix::MsDoor, OrderingKind::Pord);
-    let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Pord };
-    let c = SolverConfig { record_traces: true, ..cfg(4) };
-    let r = run_experiment(&input, &c).unwrap();
-    let traces = r.traces.expect("traces requested");
-    assert_eq!(traces.len(), 4);
-    for (p, t) in traces.iter().enumerate() {
-        assert!(t.max() <= r.peaks[p], "trace max cannot exceed the recorded peak (P{p})");
-        assert!(!t.samples().is_empty(), "P{p} must have touched memory");
-    }
-}
-
-#[test]
 fn workload_views_stay_consistent() {
     // The makespan with 8 processors must be well below the sequential
     // one (the workload scheduler actually balances), and messages flow.
